@@ -1,41 +1,8 @@
 //! The non-learning baselines: `Greedy_GD` and `Pri_GD`.
 
-use crate::assignment::{Assignment, Target};
+use crate::assignment::{greedy_pick, Assignment, Target};
 use crate::policy::{CachingPolicy, SlotContext, SlotFeedback};
 use lexcache_obs as obs;
-use mec_net::BsId;
-
-/// Picks, for one request, the cheapest station (by static historical
-/// delay + transfer) with enough slack; remote otherwise. Updates `load`.
-fn greedy_pick(ctx: &SlotContext<'_>, l: usize, demand: f64, load: &mut [f64]) -> Target {
-    let n = ctx.topo.len();
-    // Every per-station slice, the request's transfer row included, is
-    // bound once at length `n`, so the scan neither re-derives them nor
-    // re-checks their bounds per station.
-    let up = &ctx.stations.up()[..n];
-    let capacity = &ctx.stations.capacity()[..n];
-    let prior = &ctx.prior_delay[..n];
-    let transfer = &ctx.transfer.matrix()[l][..n];
-    let station_load = &load[..n];
-    let mut best: Option<usize> = None;
-    let mut best_cost = ctx.remote_delay;
-    for i in 0..n {
-        if up[i] && station_load[i] + demand <= capacity[i] + 1e-9 {
-            let c = prior[i] + transfer[i];
-            if c < best_cost {
-                best_cost = c;
-                best = Some(i);
-            }
-        }
-    }
-    match best {
-        Some(i) => {
-            load[i] += demand;
-            Target::Edge(BsId(i))
-        }
-        None => Target::Remote,
-    }
-}
 
 fn demands_of(ctx: &SlotContext<'_>) -> Vec<f64> {
     let Some(demands) = ctx.given_demands else {

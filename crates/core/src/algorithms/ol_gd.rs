@@ -1,6 +1,6 @@
 //! Algorithm 1: `OL_GD` — online learning with given demands.
 
-use crate::assignment::{Assignment, Target};
+use crate::assignment::{cheapest_station, Assignment, Target};
 use crate::lowering::build_caching_lp;
 use crate::policy::{CachingPolicy, EstimatorKind, PolicyConfig, SlotContext, SlotFeedback};
 use bandit::{sample_by_weight, ArmSet, DiscountedArmStats, WindowedArmSet};
@@ -182,8 +182,17 @@ impl OlGdCore {
             // greedy choice instead of crashing mid-episode.
             Err(_) => {
                 obs::counter("decide/lp_fallback", 1);
+                let up = ctx.stations.up();
                 (0..demands.len())
-                    .map(|l| cheapest_column(ctx, l, &believed))
+                    .map(|l| {
+                        cheapest_station(
+                            n,
+                            ctx.remote_delay,
+                            |i| up[i],
+                            |i| believed[i] + ctx.transfer.get(l, mec_net::BsId(i)),
+                        )
+                        .unwrap_or(n)
+                    })
                     .collect()
             }
         };
@@ -221,25 +230,6 @@ fn top_columns(xs: &[f64], k: usize) -> Vec<usize> {
     idx
 }
 
-/// The believed-cheapest *alive* column (edge or remote) for request `l`.
-fn cheapest_column(ctx: &SlotContext<'_>, l: usize, believed: &[f64]) -> usize {
-    let n = ctx.topo.len();
-    let up = ctx.stations.up();
-    let mut best = n; // remote
-    let mut best_cost = ctx.remote_delay;
-    for i in 0..n {
-        if !up[i] {
-            continue;
-        }
-        let c = believed[i] + ctx.transfer.get(l, mec_net::BsId(i));
-        if c < best_cost {
-            best_cost = c;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Moves requests off overloaded stations (to their cheapest station
 /// with slack, or the remote data centre) until every capacity holds.
 ///
@@ -264,8 +254,8 @@ pub(crate) fn repair_capacity(
         }
     }
     loop {
-        let Some(over) = (0..n)
-            .find(|&i| load[i] > capacity[i] + 1e-9 || (!up[i] && columns.iter().any(|&c| c == i)))
+        let Some(over) =
+            (0..n).find(|&i| load[i] > capacity[i] + 1e-9 || (!up[i] && columns.contains(&i)))
         else {
             return columns;
         };
@@ -275,17 +265,13 @@ pub(crate) fn repair_capacity(
         here.sort_by(|&a, &b| crate::float_ord::total_cmp_f64(&demands[b], &demands[a]));
         let victim = here[0];
         // Cheapest alternative with slack; remote as last resort.
-        let mut best = n;
-        let mut best_cost = ctx.remote_delay;
-        for i in 0..n {
-            if i != over && up[i] && load[i] + demands[victim] <= capacity[i] + 1e-9 {
-                let c = believed[i] + ctx.transfer.get(victim, mec_net::BsId(i));
-                if c < best_cost {
-                    best_cost = c;
-                    best = i;
-                }
-            }
-        }
+        let best = cheapest_station(
+            n,
+            ctx.remote_delay,
+            |i| i != over && up[i] && load[i] + demands[victim] <= capacity[i] + 1e-9,
+            |i| believed[i] + ctx.transfer.get(victim, mec_net::BsId(i)),
+        )
+        .unwrap_or(n);
         load[over] -= demands[victim];
         if best < n {
             load[best] += demands[victim];

@@ -1,5 +1,8 @@
-//! Per-slot assignment of requests to serving locations.
+//! Per-slot assignment of requests to serving locations, and the
+//! cheapest-station rules the baselines and the repair passes place
+//! requests by.
 
+use crate::policy::SlotContext;
 use mec_net::BsId;
 
 /// Where one request's data is processed in a slot.
@@ -101,6 +104,80 @@ impl Assignment {
     /// Number of requests sent to the remote data centre.
     pub fn remote_count(&self) -> usize {
         self.targets.iter().filter(|t| !t.is_edge()).count()
+    }
+
+    /// Data units assigned to each of `n_stations` stations: the sum of
+    /// `demands[l]` over the requests `l` it serves, in request order.
+    pub(crate) fn station_load(&self, demands: &[f64], n_stations: usize) -> Vec<f64> {
+        let mut load = vec![0.0; n_stations];
+        for (t, &d) in self.targets.iter().zip(demands) {
+            if let Target::Edge(bs) = t {
+                load[bs.index()] += d;
+            }
+        }
+        load
+    }
+}
+
+/// The station `i < n` with the least `cost(i)` among those `eligible`,
+/// if that cost is below `ceiling`; ties go to the lowest index.
+#[inline]
+pub(crate) fn cheapest_station(
+    n: usize,
+    ceiling: f64,
+    eligible: impl Fn(usize) -> bool,
+    cost: impl Fn(usize) -> f64,
+) -> Option<usize> {
+    let mut best = None;
+    let mut best_cost = ceiling;
+    for i in 0..n {
+        if eligible(i) {
+            let c = cost(i);
+            if c < best_cost {
+                best_cost = c;
+                best = Some(i);
+            }
+        }
+    }
+    best
+}
+
+/// `Greedy_GD`'s rule for one request: the cheapest alive station (by
+/// static prior delay + transfer) with slack for `demand`, or remote
+/// when none beats the remote delay. Adds `demand` to the chosen
+/// station's `load`.
+pub(crate) fn greedy_pick(
+    ctx: &SlotContext<'_>,
+    l: usize,
+    demand: f64,
+    load: &mut [f64],
+) -> Target {
+    let n = ctx.topo.len();
+    // Every per-station slice, the request's transfer row included, is
+    // bound once at length `n`, so the scan neither re-derives them nor
+    // re-checks their bounds per station.
+    let up = &ctx.stations.up()[..n];
+    let capacity = &ctx.stations.capacity()[..n];
+    let prior = &ctx.prior_delay[..n];
+    let transfer = &ctx.transfer.matrix()[l][..n];
+    let station_load = &load[..n];
+    let mut best: Option<usize> = None;
+    let mut best_cost = ctx.remote_delay;
+    for i in 0..n {
+        if up[i] && station_load[i] + demand <= capacity[i] + 1e-9 {
+            let c = prior[i] + transfer[i];
+            if c < best_cost {
+                best_cost = c;
+                best = Some(i);
+            }
+        }
+    }
+    match best {
+        Some(i) => {
+            load[i] += demand;
+            Target::Edge(BsId(i))
+        }
+        None => Target::Remote,
     }
 }
 

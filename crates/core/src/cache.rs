@@ -12,7 +12,7 @@
 use lexcache_obs as obs;
 use mec_net::delay::InstantiationDelays;
 use mec_net::BsId;
-use std::collections::BTreeMap;
+use std::collections::{btree_map::Entry, BTreeMap};
 
 /// Live service instances across slots, with idle-eviction and an
 /// optional per-station instance limit (LRU within the station).
@@ -199,8 +199,8 @@ impl CacheState {
                 break;
             }
             self.last_used.remove(&(k, from.index()));
-            if !self.last_used.contains_key(&(k, to.index())) {
-                self.last_used.insert((k, to.index()), last);
+            if let Entry::Vacant(slot) = self.last_used.entry((k, to.index())) {
+                slot.insert(last);
                 moved += 1;
                 obs::counter("cache/drained", 1);
             }

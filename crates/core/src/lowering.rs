@@ -498,8 +498,8 @@ mod tests {
         assert_eq!(healthy.service_rate(), vec![1.0; n].as_slice());
         let lp = build_caching_lp(&scenario, &transfer, &believed, &demands, 75.0, &healthy);
         for l in 0..lp.n_requests() {
-            for i in 0..n {
-                let expected = believed[i] + transfer.get(l, BsId(i));
+            for (i, &b) in believed.iter().enumerate() {
+                let expected = b + transfer.get(l, BsId(i));
                 assert_eq!(lp.unit_cost()[l][i].to_bits(), expected.to_bits());
             }
         }

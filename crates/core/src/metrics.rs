@@ -3,7 +3,7 @@
 use lexcache_runner::mini_json::{write_object, ToJson};
 
 /// Measurements of one simulated time slot.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SlotMetrics {
     /// 1-based slot index.
     pub slot: usize,

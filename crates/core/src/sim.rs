@@ -1,12 +1,13 @@
 //! The slot-by-slot simulation engine.
 
+use crate::assignment::{cheapest_station, greedy_pick, Assignment, Target};
 use crate::lowering::{build_caching_lp, StationView, TransferCosts};
 use crate::metrics::{EpisodeReport, SlotMetrics};
 use crate::policy::{CachingPolicy, SlotContext, SlotFeedback};
 use lexcache_obs as obs;
 use lexcache_queue::{QueueConfig, QueueSim};
 use mec_net::delay::{CongestionDelay, DelayProcess, RemoteDcDelay, UniformTierDelay};
-use mec_net::{DrainState, FaultConfig, FaultProcess, NetworkConfig, Topology};
+use mec_net::{BsId, DrainState, FaultConfig, FaultProcess, NetworkConfig, Topology};
 use mec_workload::demand::DemandProcess as _;
 use mec_workload::Scenario;
 
@@ -174,27 +175,6 @@ impl EpisodeConfig {
     }
 }
 
-enum DelayModel {
-    Uniform(UniformTierDelay),
-    Congestion(CongestionDelay),
-}
-
-impl DelayModel {
-    fn as_dyn(&self) -> &dyn DelayProcess {
-        match self {
-            DelayModel::Uniform(p) => p,
-            DelayModel::Congestion(p) => p,
-        }
-    }
-
-    fn advance(&mut self) {
-        match self {
-            DelayModel::Uniform(p) => p.advance(),
-            DelayModel::Congestion(p) => p.advance(),
-        }
-    }
-}
-
 /// A runnable simulation episode: one topology, one workload scenario,
 /// one hidden delay realization.
 ///
@@ -205,9 +185,11 @@ pub struct Episode {
     topo: Topology,
     net_cfg: NetworkConfig,
     scenario: Scenario,
+    /// Transfer costs over the links alive this slot: recomputed from
+    /// the topology whenever the fault process changes a link's state.
     transfer: TransferCosts,
     prior_delay: Vec<f64>,
-    delay: DelayModel,
+    delay: Box<dyn DelayProcess>,
     remote: RemoteDcDelay,
     cfg: EpisodeConfig,
     cache: crate::CacheState,
@@ -218,9 +200,6 @@ pub struct Episode {
     /// fault process and the queue core's breakers (healthy when both
     /// are off).
     stations: StationView,
-    /// Transfer costs re-routed around dead links; `None` until the
-    /// first link-state change, after which it shadows `transfer`.
-    transfer_masked: Option<TransferCosts>,
     /// `Some` only when `cfg.queue` is set — the open-loop queue state
     /// (backlog included) persists across the episode's slots.
     queue: Option<QueueSim>,
@@ -255,15 +234,13 @@ impl Episode {
             .iter()
             .map(|bs| net_cfg.tier(bs.tier()).unit_delay_ms.mid())
             .collect();
-        let delay = match cfg.delay_model {
-            DelayModelKind::Uniform => {
-                DelayModel::Uniform(UniformTierDelay::new(&topo, &net_cfg, cfg.seed))
-            }
+        let delay: Box<dyn DelayProcess> = match cfg.delay_model {
+            DelayModelKind::Uniform => Box::new(UniformTierDelay::new(&topo, &net_cfg, cfg.seed)),
             DelayModelKind::Congestion {
                 p_enter,
                 p_exit,
                 factor,
-            } => DelayModel::Congestion(CongestionDelay::new(
+            } => Box::new(CongestionDelay::new(
                 &topo, &net_cfg, p_enter, p_exit, factor, cfg.seed,
             )),
         };
@@ -287,7 +264,6 @@ impl Episode {
             cache,
             faults,
             stations,
-            transfer_masked: None,
             // The queue core gets the episode seed so its retry jitter
             // stream (seed ⊕ retry salt) is paired across policies; with
             // resilience disabled the seed is never consulted.
@@ -305,170 +281,10 @@ impl Episode {
         &self.scenario
     }
 
-    /// The per-episode transfer-cost matrix.
+    /// The transfer-cost matrix over the links alive in the last slot
+    /// run (over every link before the first slot).
     pub fn transfer(&self) -> &TransferCosts {
         &self.transfer
-    }
-
-    /// Processing + transfer part of objective (3) on an integral
-    /// assignment under realized delays, with queueing slowdown on
-    /// overloaded stations: a station serving `load > capacity` data
-    /// units multiplies its unit delay by `(load / capacity)²` — the
-    /// superlinear blow-up of queueing delay near saturation. Also
-    /// returns the distinct (service, station) instances used.
-    fn score_processing(
-        &self,
-        assignment: &crate::Assignment,
-        demands: &[f64],
-        realized: &[f64],
-        transfer: &TransferCosts,
-    ) -> (f64, Vec<(usize, usize)>) {
-        let n = self.topo.len();
-        let mut load = vec![0.0; n];
-        for (l, t) in assignment.targets().iter().enumerate() {
-            if let crate::Target::Edge(bs) = t {
-                load[bs.index()] += demands[l];
-            }
-        }
-        // Brown-outs shrink the capacity, so congestion kicks in earlier.
-        let overload: Vec<f64> = load
-            .iter()
-            .zip(self.stations.brownout_capacity())
-            .map(|(&l, &cap)| {
-                let ratio = (l / cap).max(1.0);
-                ratio * ratio
-            })
-            .collect();
-        let mut total = 0.0;
-        // One mark per (service, station) pair, service-major, so reading
-        // the marks in index order lists the instances sorted.
-        let mut used = vec![false; self.scenario.services().len() * n];
-        for (l, t) in assignment.targets().iter().enumerate() {
-            match t {
-                crate::Target::Edge(bs) => {
-                    let i = bs.index();
-                    total += demands[l] * (realized[i] * overload[i] + transfer.get(l, *bs));
-                    let k = self.scenario.requests()[l].service().index();
-                    used[k * n + i] = true;
-                }
-                crate::Target::Remote => {
-                    total += demands[l] * self.remote.unit_delay();
-                }
-            }
-        }
-        let instances = used
-            .iter()
-            .enumerate()
-            .filter(|&(_, &u)| u)
-            .map(|(ki, _)| (ki / n, ki % n))
-            .collect();
-        (total, instances)
-    }
-
-    /// Safety net run after `decide` when faults are active: any request
-    /// still assigned to a down station is re-routed to its cheapest
-    /// alive station with spare (brown-out-adjusted) capacity, or to the
-    /// remote data centre when none has room. A second, pre-emptive pass
-    /// then evacuates requests parked on stations one slot away from a
-    /// scheduled preemption kill (`Draining(1)`) onto the cheapest alive
-    /// non-draining station with slack — acting on the warning now is
-    /// cheaper than post-outage repair next slot. Returns the repaired
-    /// assignment plus `(rerouted, dropped, proactive)` counts.
-    fn repair_faulted_assignment(
-        &self,
-        assignment: crate::Assignment,
-        demands: &[f64],
-        transfer: &TransferCosts,
-    ) -> (crate::Assignment, usize, usize, usize) {
-        let n = self.topo.len();
-        let station_up = self.stations.up();
-        let capacity = self.stations.capacity();
-        let drain = self.stations.drain();
-        let mut targets: Vec<crate::Target> = assignment.targets().to_vec();
-        let mut load = vec![0.0; n];
-        for (l, t) in targets.iter().enumerate() {
-            if let crate::Target::Edge(bs) = t {
-                if station_up[bs.index()] {
-                    load[bs.index()] += demands[l];
-                }
-            }
-        }
-        let mut rerouted = 0;
-        let mut dropped = 0;
-        for l in 0..targets.len() {
-            let crate::Target::Edge(bs) = targets[l] else {
-                continue;
-            };
-            if station_up[bs.index()] {
-                continue;
-            }
-            let mut best: Option<usize> = None;
-            let mut best_cost = self.net_cfg.remote_dc_delay_ms.mid();
-            for i in 0..n {
-                if station_up[i] && load[i] + demands[l] <= capacity[i] + 1e-9 {
-                    let c = self.prior_delay[i] + transfer.get(l, mec_net::BsId(i));
-                    if c < best_cost {
-                        best_cost = c;
-                        best = Some(i);
-                    }
-                }
-            }
-            match best {
-                Some(i) => {
-                    load[i] += demands[l];
-                    targets[l] = crate::Target::Edge(mec_net::BsId(i));
-                    rerouted += 1;
-                }
-                None => {
-                    targets[l] = crate::Target::Remote;
-                    dropped += 1;
-                }
-            }
-        }
-        // Pre-emptive pass: a request still parked on a `Draining(1)`
-        // station would be force-repaired (or lost to the remote tier)
-        // next slot anyway; moving it now, while the station still
-        // serves, avoids instantiating anything new on doomed hardware.
-        // Unlike the down-station pass there is no remote fallback — if
-        // no alive non-draining station has slack, the request stays put
-        // for its final served slot.
-        let mut proactive = 0;
-        if drain.iter().any(|d| *d == DrainState::Draining(1)) {
-            for l in 0..targets.len() {
-                let crate::Target::Edge(bs) = targets[l] else {
-                    continue;
-                };
-                if drain[bs.index()] != DrainState::Draining(1) || !station_up[bs.index()] {
-                    continue;
-                }
-                let mut best: Option<usize> = None;
-                let mut best_cost = f64::INFINITY;
-                for i in 0..n {
-                    if !station_up[i] || drain[i].is_draining() {
-                        continue;
-                    }
-                    if load[i] + demands[l] <= capacity[i] + 1e-9 {
-                        let c = self.prior_delay[i] + transfer.get(l, mec_net::BsId(i));
-                        if c < best_cost {
-                            best_cost = c;
-                            best = Some(i);
-                        }
-                    }
-                }
-                if let Some(i) = best {
-                    load[bs.index()] -= demands[l];
-                    load[i] += demands[l];
-                    targets[l] = crate::Target::Edge(mec_net::BsId(i));
-                    proactive += 1;
-                }
-            }
-        }
-        (
-            crate::Assignment::new(targets),
-            rerouted,
-            dropped,
-            proactive,
-        )
     }
 
     /// Runs `policy` for `horizon` slots and collects metrics.
@@ -479,378 +295,482 @@ impl Episode {
     /// the wrong size.
     pub fn run(&mut self, policy: &mut dyn CachingPolicy, horizon: usize) -> EpisodeReport {
         assert!(horizon > 0, "horizon must be positive");
-        let n = self.topo.len();
-        let n_requests = self.scenario.requests().len();
         let request_cells: Vec<usize> = self
             .scenario
             .requests()
             .iter()
             .map(|r| r.location_cell())
             .collect();
-        let mut slots = Vec::with_capacity(horizon);
-
-        for slot in 1..=horizon {
-            obs::gauge("sim/slot", slot as f64);
-            // The environment reveals this slot's demands and (hidden)
-            // delays.
-            let demands = {
-                let _span = obs::span("sim/demand");
-                self.scenario.demand_mut().advance();
-                let demands = self.scenario.demand().demands();
-                self.delay.advance();
-                self.remote.advance();
-                demands
-            };
-
-            // Fault injection: advance the outage/link/brown-out chains,
-            // lose the warm cache of freshly failed stations and reroute
-            // transfer paths around dead links. Skipped entirely (not
-            // just a no-op) when faults are disabled.
-            let mut drained_count = 0usize;
-            let mut migrated_entries = 0usize;
-            if self.faults.is_some() {
-                let _span = obs::span("sim/faults");
-                if let Some(fp) = self.faults.as_mut() {
-                    fp.advance(&self.topo);
-                    let mut killed_while_draining = 0u64;
-                    for &bs in fp.newly_failed() {
-                        let lost = self.cache.evict_station(bs);
-                        if fp.preempt_killed().contains(&bs) {
-                            killed_while_draining += lost as u64;
-                            obs::mark("faults/preempt_kill");
-                        }
-                    }
-                    if killed_while_draining > 0 {
-                        obs::counter("faults/killed_while_draining", killed_while_draining);
-                    }
-                    if fp.injected_last_slot() > 0 {
-                        obs::counter("faults/injected", fp.injected_last_slot() as u64);
-                    }
-                    // Proactive degradation: every station warned this
-                    // slot drains its warmest cache entries onto the
-                    // cheapest alive station that is not itself doomed,
-                    // up to the migration budget. The rest of the warm
-                    // set dies with the station at kill time.
-                    drained_count = fp.notices().len();
-                    if drained_count > 0 {
-                        obs::counter("faults/preempt_warned", drained_count as u64);
-                    }
-                    for idx in 0..drained_count {
-                        obs::mark("faults/preempt_notice");
-                        let from = fp.notices()[idx].station;
-                        let mut best: Option<usize> = None;
-                        let mut best_cost = f64::INFINITY;
-                        for i in 0..n {
-                            if i == from.index()
-                                || !fp.station_up()[i]
-                                || fp.drain_states()[i].is_draining()
-                            {
-                                continue;
-                            }
-                            let c = self.prior_delay[i];
-                            if c < best_cost {
-                                best_cost = c;
-                                best = Some(i);
-                            }
-                        }
-                        if let Some(i) = best {
-                            let moved = self.cache.drain_to(
-                                from,
-                                mec_net::BsId(i),
-                                self.cfg.migration_budget,
-                            );
-                            if moved > 0 {
-                                migrated_entries += moved;
-                                obs::mark("faults/drain");
-                            }
-                        }
-                    }
-                    if migrated_entries > 0 {
-                        obs::counter("faults/drained", migrated_entries as u64);
-                    }
-                    if fp.links_changed() {
-                        self.transfer_masked = Some(TransferCosts::compute_masked(
-                            &self.topo,
-                            &self.scenario,
-                            fp.link_up(),
-                        ));
-                    }
-                    self.stations.set_faults(
-                        fp.station_up(),
-                        fp.capacity_factors(),
-                        fp.drain_states(),
-                    );
-                }
-            }
-            let transfer_now = self.transfer_masked.as_ref().unwrap_or(&self.transfer);
-
-            // Circuit-breaker verdicts from the queue core's *previous*
-            // slot down-weight this slot's LP columns, exactly like
-            // `Draining(k)`.
-            if let Some(qs) = self.queue.as_ref() {
-                self.stations.set_breaker_weights(&qs.breaker_weights());
-            }
-
-            let ctx = {
-                let _span = obs::span("sim/context");
-                SlotContext {
-                    slot,
-                    topo: &self.topo,
-                    scenario: &self.scenario,
-                    given_demands: self.cfg.reveal_demands.then_some(demands.as_slice()),
-                    transfer: transfer_now,
-                    prior_delay: &self.prior_delay,
-                    remote_delay: self.net_cfg.remote_dc_delay_ms.mid(),
-                    net_cfg: &self.net_cfg,
-                    stations: &self.stations,
-                }
-            };
-            let decide_span = obs::span("sim/decide");
-            let watch = obs::Stopwatch::start();
-            let assignment = policy.decide(&ctx);
-            let decide_us = watch.elapsed_us();
-            drop(decide_span);
-            assert_eq!(
-                assignment.len(),
-                n_requests,
-                "assignment must cover every request"
-            );
-            drop(ctx);
-
-            // Graceful degradation: nothing may stay assigned to a down
-            // station, whatever the policy returned — and nothing should
-            // wait out a preemption warning's final slot if a safe
-            // station has room.
-            let (assignment, rerouted_count, dropped_count, proactive_reroutes) =
-                if self.faults.is_some() {
-                    let _span = obs::span("sim/fault_repair");
-                    let (repaired, rerouted, dropped, proactive) =
-                        self.repair_faulted_assignment(assignment, &demands, transfer_now);
-                    if rerouted > 0 {
-                        obs::counter("requests/rerouted", rerouted as u64);
-                    }
-                    if dropped > 0 {
-                        obs::counter("requests/dropped", dropped as u64);
-                    }
-                    if proactive > 0 {
-                        obs::counter("requests/proactive_reroute", proactive as u64);
-                    }
-                    (repaired, rerouted, dropped, proactive)
-                } else {
-                    (assignment, 0, 0, 0)
-                };
-
-            // Score against the realized delays. A station whose
-            // realized load exceeds its capacity queues: its unit delay
-            // scales with the overload ratio. Policies that under-predict
-            // bursty demand therefore pay for it — the physical effect
-            // the paper's bursty-demand story hinges on. The clairvoyant
-            // optimum below respects capacities exactly and never
-            // overloads.
-            let realize_span = obs::span("sim/realize");
-            let mut realized: Vec<f64> = (0..n)
-                .map(|i| self.delay.as_dyn().unit_delay(mec_net::BsId(i)))
-                .collect();
-            if self.cfg.load_sensitivity > 0.0 {
-                // Endogenous congestion: this slot's utilization slows
-                // the stations carrying it.
-                let mut load = vec![0.0; n];
-                for (l, t) in assignment.targets().iter().enumerate() {
-                    if let crate::Target::Edge(bs) = t {
-                        load[bs.index()] += demands[l];
-                    }
-                }
-                let cap = self.stations.brownout_capacity();
-                for (i, r) in realized.iter_mut().enumerate() {
-                    *r *= 1.0 + self.cfg.load_sensitivity * (load[i] / cap[i]);
-                }
-            }
-            let (processing, used_instances) =
-                self.score_processing(&assignment, &demands, &realized, transfer_now);
-            drop(realize_span);
-            let inst_cost = {
-                let _span = obs::span("sim/cache_apply");
-                obs::counter("cache/instances_used", used_instances.len() as u64);
-                if self.cfg.amortize_instantiation {
-                    self.cache
-                        .apply(slot, &used_instances, self.scenario.instantiation())
-                } else {
-                    used_instances
-                        .iter()
-                        .map(|&(k, i)| self.scenario.instantiation().get(mec_net::BsId(i), k))
-                        .sum()
-                }
-            };
-            let avg_delay_ms = (processing + inst_cost) / n_requests as f64;
-            // Clairvoyant reference: the processing-delay LP optimum
-            // under the realized delays and true demands. The
-            // instantiation term is dropped from the reference — a
-            // fractional solution spreads requests over many partial
-            // instances, so its summed instantiation cost is *not* a
-            // lower bound on integral assignments, while the pure
-            // processing optimum is.
-            let optimal_avg_delay_ms = if self.cfg.track_regret {
-                let _span = obs::span("sim/regret_lp");
-                // Unweighted: the optimum is scored on realized delays,
-                // so drain and breaker steering have no place in it.
-                let true_lp = build_caching_lp(
-                    &self.scenario,
-                    transfer_now,
-                    &realized,
-                    &demands,
-                    self.remote.unit_delay(),
-                    &self.stations.unweighted(),
-                );
-                true_lp.solve_fast().ok().map(|sol| {
-                    let zero_y = vec![vec![0.0; true_lp.n_stations()]; true_lp.n_services()];
-                    true_lp.objective_of(&sol.x, &zero_y)
-                })
-            } else {
-                None
-            };
-
-            // Bandit feedback: only stations actually played reveal their
-            // realized delay.
-            let feedback_span = obs::span("sim/feedback");
-            let observed: Vec<(usize, f64)> = assignment
-                .stations_used()
-                .into_iter()
-                .map(|bs| (bs.index(), realized[bs.index()]))
-                .collect();
-            let feedback = SlotFeedback {
-                slot,
-                observed_unit_delay: &observed,
-                realized_demands: &demands,
-                request_cells: &request_cells,
-                station_up: self.stations.up(),
-            };
-            policy.observe(&feedback);
-            obs::counter("sim/remote_requests", assignment.remote_count() as u64);
-            drop(feedback_span);
-
-            // Open-loop queue layer: replay this slot's (repaired)
-            // assignment as timed arrivals against finite-rate station
-            // servers and measure per-request sojourns. The arrival and
-            // retry streams are hashed from (seed, slot, request) rather
-            // than drawn from the episode RNG, so a queue-disabled run
-            // is untouched. Two narrow feedback paths exist: breaker
-            // verdicts down-weight next slot's LP columns (above), and
-            // every waiting-room drop or resilience shed is charged its
-            // demand at the realized remote unit delay — the request
-            // was effectively bounced to the remote tier — so overload
-            // shows up in the paper's cost objective exactly like the
-            // fault path's `dropped_count`. A lossless slot adds
-            // nothing and leaves `avg_delay_ms` bit-identical.
-            let mut queue_loss_penalty = 0.0;
-            let (
-                p50_sojourn_ms,
-                p99_sojourn_ms,
-                queue_dropped_count,
-                queue_completed_count,
-                deadline_missed,
-                retries_attempted,
-                retries_succeeded,
-                shed_count,
-                breaker_open_slots,
-            ) = match self.queue.as_mut() {
-                Some(qs) => {
-                    let _span = obs::span("sim/queue");
-                    let qcfg = *qs.config();
-                    // Drain notices interlock with the breakers: a
-                    // HalfOpen breaker must not spend its probe on a
-                    // station that is scheduled to die.
-                    let draining: Vec<bool> = self
-                        .stations
-                        .drain()
-                        .iter()
-                        .map(|d| d.is_draining())
-                        .collect();
-                    qs.set_draining(&draining);
-                    qs.begin_slot(slot, self.stations.service_rate());
-                    // Normalize service times so total offered work is
-                    // ρ × nominal capacity (n stations × slot length).
-                    // Normalizing by *nominal* rather than live
-                    // capacity means faults genuinely raise effective
-                    // load; per-station load depends on where the
-                    // policy routed demand.
-                    let total_demand: f64 = demands.iter().sum();
-                    let ms_per_unit = if total_demand > 0.0 {
-                        qcfg.offered_load * n as f64 * qcfg.slot_ms / total_demand
-                    } else {
-                        0.0
-                    };
-                    // Priority-aware shedding spares the heavy hitters:
-                    // an above-average-demand request is high priority.
-                    let mean_demand = total_demand / n_requests as f64;
-                    let arrivals = mec_workload::arrivals::expand_slot(
-                        self.cfg.seed ^ qcfg.arrival_seed_salt,
-                        slot,
-                        n_requests,
-                        qcfg.slot_ms,
-                    );
-                    for a in &arrivals {
-                        if let crate::Target::Edge(bs) = assignment.targets()[a.request] {
-                            qs.submit_prio(
-                                a.request,
-                                bs.index(),
-                                a.offset_ms,
-                                demands[a.request] * ms_per_unit,
-                                demands[a.request] >= mean_demand,
-                            );
-                        }
-                    }
-                    let stats = qs.run_slot();
-                    for &r in stats.dropped_requests.iter().chain(&stats.shed_requests) {
-                        queue_loss_penalty += demands[r] * self.remote.unit_delay();
-                    }
-                    (
-                        stats.p50_ms(),
-                        stats.p99_ms(),
-                        stats.dropped,
-                        stats.completed(),
-                        stats.deadline_missed,
-                        stats.retries_attempted,
-                        stats.retries_succeeded,
-                        stats.shed,
-                        stats.breaker_open,
-                    )
-                }
-                None => (0.0, 0.0, 0, 0, 0, 0, 0, 0, 0),
-            };
-            let avg_delay_ms = if queue_loss_penalty > 0.0 {
-                avg_delay_ms + queue_loss_penalty / n_requests as f64
-            } else {
-                avg_delay_ms
-            };
-
-            slots.push(SlotMetrics {
-                slot,
-                avg_delay_ms,
-                decide_us,
-                optimal_avg_delay_ms,
-                remote_count: assignment.remote_count(),
-                rerouted_count,
-                dropped_count,
-                drained_count,
-                migrated_entries,
-                proactive_reroutes,
-                p50_sojourn_ms,
-                p99_sojourn_ms,
-                queue_dropped_count,
-                queue_completed_count,
-                deadline_missed,
-                retries_attempted,
-                retries_succeeded,
-                shed_count,
-                breaker_open_slots,
-            });
-        }
+        let slots = (1..=horizon)
+            .map(|slot| self.run_slot(policy, slot, &request_cells))
+            .collect();
         EpisodeReport {
             policy: policy.name().to_string(),
             topology: self.topo.name().to_string(),
             slots,
         }
     }
+
+    /// One slot: the environment moves, the policy decides (Algorithm 1,
+    /// lines 3–9), the decision is scored and the policy observes the
+    /// stations it played (lines 10–11). Each stage opens its own
+    /// `sim/*` span, whose names the benchmark's per-layer metrics read.
+    /// The two fault stages run only with fault injection, the regret LP
+    /// only with regret tracking and the queue stage only with the queue
+    /// core.
+    fn run_slot(
+        &mut self,
+        policy: &mut dyn CachingPolicy,
+        slot: usize,
+        request_cells: &[usize],
+    ) -> SlotMetrics {
+        obs::gauge("sim/slot", slot as f64);
+        let mut m = SlotMetrics {
+            slot,
+            ..SlotMetrics::default()
+        };
+        let demands = self.advance_environment();
+        self.inject_faults(&mut m);
+        // Circuit-breaker verdicts from the queue core's *previous* slot
+        // down-weight this slot's LP columns, exactly like `Draining(k)`.
+        if let Some(qs) = &self.queue {
+            self.stations.set_breaker_weights(&qs.breaker_weights());
+        }
+        let ctx = self.context(slot, &demands);
+        let mut assignment = decide(policy, &ctx, &mut m);
+        if self.faults.is_some() {
+            assignment = repair_faulted_assignment(&ctx, assignment, &demands, &mut m);
+        }
+        let (realized, processing, instances) = self.realize(&assignment, &demands);
+        let instantiation = self.apply_cache(slot, &instances);
+        m.avg_delay_ms = (processing + instantiation) / self.scenario.requests().len() as f64;
+        if self.cfg.track_regret {
+            m.optimal_avg_delay_ms = self.regret_optimum(&realized, &demands);
+        }
+        self.feedback(
+            policy,
+            slot,
+            &assignment,
+            &realized,
+            &demands,
+            request_cells,
+        );
+        self.run_queue(slot, &assignment, &demands, &mut m);
+        m.remote_count = assignment.remote_count();
+        m
+    }
+
+    /// The environment reveals this slot's demands and (hidden) delays.
+    fn advance_environment(&mut self) -> Vec<f64> {
+        let _span = obs::span("sim/demand");
+        self.scenario.demand_mut().advance();
+        let demands = self.scenario.demand().demands();
+        self.delay.advance();
+        self.remote.advance();
+        demands
+    }
+
+    /// Fault injection: advances the outage/link/brown-out chains, loses
+    /// the warm cache of freshly failed stations, drains warned ones and
+    /// reroutes transfer paths around dead links. Skipped entirely (not
+    /// just a no-op) when faults are disabled.
+    fn inject_faults(&mut self, m: &mut SlotMetrics) {
+        let Some(fp) = self.faults.as_mut() else {
+            return;
+        };
+        let _span = obs::span("sim/faults");
+        fp.advance(&self.topo);
+        let mut killed_while_draining = 0u64;
+        for &bs in fp.newly_failed() {
+            let lost = self.cache.evict_station(bs);
+            if fp.preempt_killed().contains(&bs) {
+                killed_while_draining += lost as u64;
+                obs::mark("faults/preempt_kill");
+            }
+        }
+        if killed_while_draining > 0 {
+            obs::counter("faults/killed_while_draining", killed_while_draining);
+        }
+        if fp.injected_last_slot() > 0 {
+            obs::counter("faults/injected", fp.injected_last_slot() as u64);
+        }
+        m.drained_count = fp.notices().len();
+        if m.drained_count > 0 {
+            obs::counter("faults/preempt_warned", m.drained_count as u64);
+        }
+        m.migrated_entries = drain_warned_stations(
+            fp,
+            &mut self.cache,
+            &self.prior_delay,
+            self.cfg.migration_budget,
+        );
+        if fp.links_changed() {
+            self.transfer = TransferCosts::compute_masked(&self.topo, &self.scenario, fp.link_up());
+        }
+        self.stations
+            .set_faults(fp.station_up(), fp.capacity_factors(), fp.drain_states());
+    }
+
+    /// What the policy may see this slot.
+    fn context<'a>(&'a self, slot: usize, demands: &'a [f64]) -> SlotContext<'a> {
+        let _span = obs::span("sim/context");
+        SlotContext {
+            slot,
+            topo: &self.topo,
+            scenario: &self.scenario,
+            given_demands: self.cfg.reveal_demands.then_some(demands),
+            transfer: &self.transfer,
+            prior_delay: &self.prior_delay,
+            remote_delay: self.net_cfg.remote_dc_delay_ms.mid(),
+            net_cfg: &self.net_cfg,
+            stations: &self.stations,
+        }
+    }
+
+    /// Scores the assignment against the realized delays. Returns the
+    /// realized unit delays (the regret LP and the feedback read them),
+    /// the processing and transfer part of objective (3), and the
+    /// distinct (service, station) instances used, sorted. A station
+    /// whose load exceeds its (brown-out) capacity queues: its unit delay
+    /// scales by `(load / capacity)²`, the superlinear blow-up of
+    /// queueing delay near saturation. Policies that under-predict bursty
+    /// demand therefore pay for it — the physical effect the paper's
+    /// bursty-demand story hinges on. The clairvoyant optimum respects
+    /// capacities exactly and never overloads.
+    fn realize(
+        &self,
+        assignment: &Assignment,
+        demands: &[f64],
+    ) -> (Vec<f64>, f64, Vec<(usize, usize)>) {
+        let _span = obs::span("sim/realize");
+        let n = self.topo.len();
+        let load = assignment.station_load(demands, n);
+        // Brown-outs shrink the capacity, so congestion kicks in earlier.
+        let capacity = self.stations.brownout_capacity();
+        let mut realized: Vec<f64> = (0..n).map(|i| self.delay.unit_delay(BsId(i))).collect();
+        if self.cfg.load_sensitivity > 0.0 {
+            // Endogenous congestion: this slot's utilization slows the
+            // stations carrying it.
+            for (i, r) in realized.iter_mut().enumerate() {
+                *r *= 1.0 + self.cfg.load_sensitivity * (load[i] / capacity[i]);
+            }
+        }
+        let overload: Vec<f64> = load
+            .iter()
+            .zip(capacity)
+            .map(|(&l, &cap)| {
+                let ratio = (l / cap).max(1.0);
+                ratio * ratio
+            })
+            .collect();
+        let mut processing = 0.0;
+        // One mark per (service, station) pair, service-major, so reading
+        // the marks in index order lists the instances sorted.
+        let mut used = vec![false; self.scenario.services().len() * n];
+        for (l, t) in assignment.targets().iter().enumerate() {
+            match t {
+                Target::Edge(bs) => {
+                    let i = bs.index();
+                    processing +=
+                        demands[l] * (realized[i] * overload[i] + self.transfer.get(l, *bs));
+                    let k = self.scenario.requests()[l].service().index();
+                    used[k * n + i] = true;
+                }
+                Target::Remote => {
+                    processing += demands[l] * self.remote.unit_delay();
+                }
+            }
+        }
+        let instances = used
+            .iter()
+            .enumerate()
+            .filter(|&(_, &u)| u)
+            .map(|(ki, _)| (ki / n, ki % n))
+            .collect();
+        (realized, processing, instances)
+    }
+
+    /// The instantiation cost of this slot's instances: each pays
+    /// `d_ins` under the paper's per-slot accounting, only newly warm
+    /// ones under amortized accounting.
+    fn apply_cache(&mut self, slot: usize, instances: &[(usize, usize)]) -> f64 {
+        let _span = obs::span("sim/cache_apply");
+        obs::counter("cache/instances_used", instances.len() as u64);
+        if self.cfg.amortize_instantiation {
+            self.cache
+                .apply(slot, instances, self.scenario.instantiation())
+        } else {
+            instances
+                .iter()
+                .map(|&(k, i)| self.scenario.instantiation().get(BsId(i), k))
+                .sum()
+        }
+    }
+
+    /// Clairvoyant reference: the processing-delay LP optimum under the
+    /// realized delays and true demands, or `None` if the LP fails. The
+    /// instantiation term is dropped from the reference — a fractional
+    /// solution spreads requests over many partial instances, so its
+    /// summed instantiation cost is *not* a lower bound on integral
+    /// assignments, while the pure processing optimum is.
+    fn regret_optimum(&self, realized: &[f64], demands: &[f64]) -> Option<f64> {
+        let _span = obs::span("sim/regret_lp");
+        // Unweighted: the optimum is scored on realized delays, so drain
+        // and breaker steering have no place in it.
+        let true_lp = build_caching_lp(
+            &self.scenario,
+            &self.transfer,
+            realized,
+            demands,
+            self.remote.unit_delay(),
+            &self.stations.unweighted(),
+        );
+        true_lp.solve_fast().ok().map(|sol| {
+            let zero_y = vec![vec![0.0; true_lp.n_stations()]; true_lp.n_services()];
+            true_lp.objective_of(&sol.x, &zero_y)
+        })
+    }
+
+    /// Bandit feedback: only stations actually played reveal their
+    /// realized delay.
+    fn feedback(
+        &self,
+        policy: &mut dyn CachingPolicy,
+        slot: usize,
+        assignment: &Assignment,
+        realized: &[f64],
+        demands: &[f64],
+        request_cells: &[usize],
+    ) {
+        let _span = obs::span("sim/feedback");
+        let observed: Vec<(usize, f64)> = assignment
+            .stations_used()
+            .into_iter()
+            .map(|bs| (bs.index(), realized[bs.index()]))
+            .collect();
+        policy.observe(&SlotFeedback {
+            slot,
+            observed_unit_delay: &observed,
+            realized_demands: demands,
+            request_cells,
+            station_up: self.stations.up(),
+        });
+        obs::counter("sim/remote_requests", assignment.remote_count() as u64);
+    }
+
+    /// Open-loop queue layer: replays this slot's (repaired) assignment
+    /// as timed arrivals against finite-rate station servers and
+    /// measures per-request sojourns. The arrival and retry streams are
+    /// hashed from (seed, slot, request) rather than drawn from the
+    /// episode RNG, so a queue-disabled run is untouched. Two narrow
+    /// feedback paths exist: breaker verdicts down-weight next slot's LP
+    /// columns (see [`Episode::run_slot`]), and every waiting-room drop
+    /// or resilience shed is charged its demand at the realized remote
+    /// unit delay — the request was effectively bounced to the remote
+    /// tier — so overload shows up in the paper's cost objective exactly
+    /// like the fault path's `dropped_count`. A lossless slot adds
+    /// nothing and leaves `avg_delay_ms` bit-identical.
+    fn run_queue(
+        &mut self,
+        slot: usize,
+        assignment: &Assignment,
+        demands: &[f64],
+        m: &mut SlotMetrics,
+    ) {
+        let Some(qs) = self.queue.as_mut() else {
+            return;
+        };
+        let _span = obs::span("sim/queue");
+        let qcfg = *qs.config();
+        let n_requests = self.scenario.requests().len();
+        // Drain notices interlock with the breakers: a HalfOpen breaker
+        // must not spend its probe on a station that is scheduled to die.
+        let draining: Vec<bool> = self
+            .stations
+            .drain()
+            .iter()
+            .map(|d| d.is_draining())
+            .collect();
+        qs.set_draining(&draining);
+        qs.begin_slot(slot, self.stations.service_rate());
+        // Normalize service times so total offered work is ρ × nominal
+        // capacity (n stations × slot length). Normalizing by *nominal*
+        // rather than live capacity means faults genuinely raise
+        // effective load; per-station load depends on where the policy
+        // routed demand.
+        let total_demand: f64 = demands.iter().sum();
+        let ms_per_unit = if total_demand > 0.0 {
+            qcfg.offered_load * self.topo.len() as f64 * qcfg.slot_ms / total_demand
+        } else {
+            0.0
+        };
+        // Priority-aware shedding spares the heavy hitters: an
+        // above-average-demand request is high priority.
+        let mean_demand = total_demand / n_requests as f64;
+        let arrivals = mec_workload::arrivals::expand_slot(
+            self.cfg.seed ^ qcfg.arrival_seed_salt,
+            slot,
+            n_requests,
+            qcfg.slot_ms,
+        );
+        for a in &arrivals {
+            if let Target::Edge(bs) = assignment.targets()[a.request] {
+                qs.submit_prio(
+                    a.request,
+                    bs.index(),
+                    a.offset_ms,
+                    demands[a.request] * ms_per_unit,
+                    demands[a.request] >= mean_demand,
+                );
+            }
+        }
+        let stats = qs.run_slot();
+        let mut loss_penalty = 0.0;
+        for &r in stats.dropped_requests.iter().chain(&stats.shed_requests) {
+            loss_penalty += demands[r] * self.remote.unit_delay();
+        }
+        if loss_penalty > 0.0 {
+            m.avg_delay_ms += loss_penalty / n_requests as f64;
+        }
+        m.p50_sojourn_ms = stats.p50_ms();
+        m.p99_sojourn_ms = stats.p99_ms();
+        m.queue_dropped_count = stats.dropped;
+        m.queue_completed_count = stats.completed();
+        m.deadline_missed = stats.deadline_missed;
+        m.retries_attempted = stats.retries_attempted;
+        m.retries_succeeded = stats.retries_succeeded;
+        m.shed_count = stats.shed;
+        m.breaker_open_slots = stats.breaker_open;
+    }
+}
+
+/// Proactive degradation: every station warned this slot drains its
+/// warmest cache entries onto the cheapest alive station that is not
+/// itself doomed, up to `budget` entries each. The rest of the warm set
+/// dies with the station at kill time. Returns the entries migrated.
+fn drain_warned_stations(
+    fp: &FaultProcess,
+    cache: &mut crate::CacheState,
+    prior_delay: &[f64],
+    budget: usize,
+) -> usize {
+    let (up, drain) = (fp.station_up(), fp.drain_states());
+    let mut migrated = 0;
+    for notice in fp.notices() {
+        obs::mark("faults/preempt_notice");
+        let from = notice.station;
+        let target = cheapest_station(
+            prior_delay.len(),
+            f64::INFINITY,
+            |i| i != from.index() && up[i] && !drain[i].is_draining(),
+            |i| prior_delay[i],
+        );
+        if let Some(i) = target {
+            let moved = cache.drain_to(from, BsId(i), budget);
+            if moved > 0 {
+                migrated += moved;
+                obs::mark("faults/drain");
+            }
+        }
+    }
+    if migrated > 0 {
+        obs::counter("faults/drained", migrated as u64);
+    }
+    migrated
+}
+
+/// The policy's decision, timed for the paper's running-time series
+/// (`decide_us`).
+fn decide(
+    policy: &mut dyn CachingPolicy,
+    ctx: &SlotContext<'_>,
+    m: &mut SlotMetrics,
+) -> Assignment {
+    let _span = obs::span("sim/decide");
+    let watch = obs::Stopwatch::start();
+    let assignment = policy.decide(ctx);
+    m.decide_us = watch.elapsed_us();
+    assert_eq!(
+        assignment.len(),
+        ctx.scenario.requests().len(),
+        "assignment must cover every request"
+    );
+    assignment
+}
+
+/// Graceful degradation, run after `decide` when faults are active:
+/// nothing may stay assigned to a down station, whatever the policy
+/// returned. Each such request is re-routed by `Greedy_GD`'s rule
+/// ([`greedy_pick`]) to its cheapest alive station with spare
+/// (brown-out-adjusted) capacity, or to the remote data centre when none
+/// has room. A second, pre-emptive pass then evacuates requests parked
+/// on stations one slot away from a scheduled preemption kill
+/// (`Draining(1)`) onto the cheapest alive non-draining station with
+/// slack — acting on the warning now is cheaper than post-outage repair
+/// next slot. Counts the moves in `m`'s `rerouted_count`,
+/// `dropped_count` and `proactive_reroutes`.
+fn repair_faulted_assignment(
+    ctx: &SlotContext<'_>,
+    assignment: Assignment,
+    demands: &[f64],
+    m: &mut SlotMetrics,
+) -> Assignment {
+    let _span = obs::span("sim/fault_repair");
+    let (up, drain) = (ctx.stations.up(), ctx.stations.drain());
+    let n = up.len();
+    // Down stations' entries are summed too, but no pass reads them.
+    let mut load = assignment.station_load(demands, n);
+    let mut targets = assignment.targets().to_vec();
+    for (l, target) in targets.iter_mut().enumerate() {
+        if matches!(*target, Target::Edge(bs) if !up[bs.index()]) {
+            *target = greedy_pick(ctx, l, demands[l], &mut load);
+            if target.is_edge() {
+                m.rerouted_count += 1;
+            } else {
+                m.dropped_count += 1;
+            }
+        }
+    }
+    // Pre-emptive pass: a request still parked on a `Draining(1)`
+    // station would be force-repaired (or lost to the remote tier) next
+    // slot anyway; moving it now, while the station still serves, avoids
+    // instantiating anything new on doomed hardware. Unlike the
+    // down-station pass there is no remote fallback — if no alive
+    // non-draining station has slack, the request stays put for its
+    // final served slot.
+    if drain.contains(&DrainState::Draining(1)) {
+        let capacity = ctx.stations.capacity();
+        for (l, target) in targets.iter_mut().enumerate() {
+            let Target::Edge(bs) = *target else {
+                continue;
+            };
+            if drain[bs.index()] != DrainState::Draining(1) || !up[bs.index()] {
+                continue;
+            }
+            let safe = cheapest_station(
+                n,
+                f64::INFINITY,
+                |i| up[i] && !drain[i].is_draining() && load[i] + demands[l] <= capacity[i] + 1e-9,
+                |i| ctx.prior_delay[i] + ctx.transfer.get(l, BsId(i)),
+            );
+            if let Some(i) = safe {
+                load[bs.index()] -= demands[l];
+                load[i] += demands[l];
+                *target = Target::Edge(BsId(i));
+                m.proactive_reroutes += 1;
+            }
+        }
+    }
+    if m.rerouted_count > 0 {
+        obs::counter("requests/rerouted", m.rerouted_count as u64);
+    }
+    if m.dropped_count > 0 {
+        obs::counter("requests/dropped", m.dropped_count as u64);
+    }
+    if m.proactive_reroutes > 0 {
+        obs::counter("requests/proactive_reroute", m.proactive_reroutes as u64);
+    }
+    Assignment::new(targets)
 }
 
 #[cfg(test)]
@@ -1114,8 +1034,11 @@ mod tests {
             .set_faults(&station_up, &vec![1.0; n], &vec![DrainState::Up; n]);
         // A pathological policy output: everything on the down station.
         let broken = crate::Assignment::new(vec![Target::Edge(mec_net::BsId(0)); n_req]);
-        let (repaired, rerouted, dropped, proactive) =
-            ep.repair_faulted_assignment(broken, &demands, ep.transfer());
+        let mut m = SlotMetrics::default();
+        let repaired =
+            repair_faulted_assignment(&ep.context(1, &demands), broken, &demands, &mut m);
+        let (rerouted, dropped, proactive) =
+            (m.rerouted_count, m.dropped_count, m.proactive_reroutes);
         assert_eq!(rerouted + dropped, n_req, "every request was touched");
         assert_eq!(proactive, 0, "nothing drains in this scenario");
         let mut load = vec![0.0; n];

@@ -15,6 +15,9 @@ use mec_workload::ScenarioConfig;
 
 const HORIZON: usize = 12;
 
+/// Builds a fresh policy for each run.
+type MakePolicy = Box<dyn Fn() -> Box<dyn CachingPolicy>>;
+
 fn run_once(seed: u64, make_policy: &dyn Fn() -> Box<dyn CachingPolicy>) -> EpisodeReport {
     let cfg = NetworkConfig::paper_defaults();
     let topo = gtitm::generate(20, &cfg, seed);
@@ -44,7 +47,7 @@ fn assert_identical(a: &EpisodeReport, b: &EpisodeReport) {
 
 #[test]
 fn same_seed_episodes_are_bit_identical() {
-    let policies: [(&str, Box<dyn Fn() -> Box<dyn CachingPolicy>>); 4] = [
+    let policies: [(&str, MakePolicy); 4] = [
         (
             "OL_GD",
             Box::new(|| Box::new(OlGd::new(PolicyConfig::default()))),
@@ -71,8 +74,7 @@ fn observability_sinks_do_not_perturb_results() {
     // The obs layer must be write-only: installing a sink (NoopSink or
     // a collecting registry) cannot change a single bit of the episode
     // outcome, only record it.
-    let make: Box<dyn Fn() -> Box<dyn CachingPolicy>> =
-        Box::new(|| Box::new(OlGd::new(PolicyConfig::default())));
+    let make: MakePolicy = Box::new(|| Box::new(OlGd::new(PolicyConfig::default())));
     let baseline = run_once(5, make.as_ref());
 
     lexcache_obs::install(Box::new(lexcache_obs::NoopSink));
@@ -98,8 +100,7 @@ fn observability_sinks_do_not_perturb_results() {
 fn different_seeds_actually_diverge() {
     // Sanity check that the comparison above is not vacuous: distinct
     // seeds must produce distinct delay traces.
-    let make: Box<dyn Fn() -> Box<dyn CachingPolicy>> =
-        Box::new(|| Box::new(OlGd::new(PolicyConfig::default())));
+    let make: MakePolicy = Box::new(|| Box::new(OlGd::new(PolicyConfig::default())));
     let a = run_once(1, make.as_ref());
     let b = run_once(2, make.as_ref());
     let same = a

@@ -245,9 +245,11 @@ impl Predictor for FittedAr {
     fn predict(&self) -> f64 {
         match (&self.coeffs, self.history.len()) {
             (Some(beta), n) if n >= self.p => {
+                // `beta[lag]` weighs `history[n - lag]`, newest first.
+                let lags = self.history[n - self.p..].iter().rev();
                 let mut v = beta[0];
-                for lag in 1..=self.p {
-                    v += beta[lag] * self.history[n - lag];
+                for (b, h) in beta[1..=self.p].iter().zip(lags) {
+                    v += b * h;
                 }
                 v
             }
@@ -276,8 +278,9 @@ fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
             let f = a[row][col] / a[col][col];
             // lexlint: allow(LX06): exact-zero sparsity skip in elimination
             if f != 0.0 {
-                for k in col..n {
-                    a[row][k] -= f * a[col][k];
+                let (above, below) = a.split_at_mut(row);
+                for (t, p) in below[0][col..n].iter_mut().zip(&above[col][col..n]) {
+                    *t -= f * p;
                 }
                 b[row] -= f * b[col];
             }

@@ -352,7 +352,7 @@ impl InstantiationDelays {
             range_ms.0 >= 0.0 && range_ms.0 <= range_ms.1,
             "invalid instantiation delay range"
         );
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1257_a7e);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0125_7a7e);
         let range = Range::new(range_ms.0, range_ms.1);
         let delays_ms = (0..n_stations * n_services)
             .map(|_| range.sample(&mut rng))

@@ -63,7 +63,7 @@ pub fn generate(cfg: &NetworkConfig, seed: u64) -> Topology {
 /// Panics if `n == 0`.
 pub fn scaled(n: usize, cfg: &NetworkConfig, seed: u64) -> Topology {
     assert!(n > 0, "topology must contain at least one station");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xa517_55);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x00a5_1755);
 
     let core = CORE.min(n);
     let mut edges: Vec<(usize, usize)> = Vec::new();

@@ -81,7 +81,7 @@ pub fn generate(shape: TransitStubConfig, cfg: &NetworkConfig, seed: u64) -> Top
         "need at least one stub per transit"
     );
     assert!(shape.stub_size > 0, "stubs need at least one node");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7245_5b);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0072_455b);
     let n = shape.total_nodes();
 
     let mut tiers = Vec::with_capacity(n);

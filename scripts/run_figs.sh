@@ -31,6 +31,6 @@ run() {
 }
 
 run 8 fig3 fig4 fig5 fig6 fig7 regret_bound summary prediction_mae
-run 5 ablation_gamma ablation_epsilon ablation_lambda ablation_predictor \
+run 5 ablation_epsilon ablation_lambda ablation_predictor \
   ablation_delay_model ablation_estimator ablation_cache
 run 6 ablation_topology

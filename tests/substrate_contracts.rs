@@ -2,7 +2,7 @@
 //! their substrates.
 
 use lexcache::bandit::{ArmSet, GapParams};
-use lexcache::forecast::{mae, MultiSeries, PaperArma, Predictor as _};
+use lexcache::forecast::{mae, MultiSeries, PaperArma};
 use lexcache::infogan::{InfoGanConfig, InfoRnnGan};
 use lexcache::net::delay::{DelayProcess as _, UniformTierDelay};
 use lexcache::net::{topology::gtitm, NetworkConfig};
