@@ -371,8 +371,8 @@ pub fn pretraining_series(
         for r in scenario.requests() {
             series[r.location_cell()][t] += process.demand(r.id());
         }
-        for c in 0..n_cells {
-            series[c][t] = (series[c][t] - cell_basics[c]).max(0.0);
+        for (row, &basic) in series.iter_mut().zip(&cell_basics) {
+            row[t] = (row[t] - basic).max(0.0);
         }
     }
     let cells: Vec<usize> = (0..n_cells).collect();

@@ -1,14 +1,14 @@
 //! The non-learning baselines: `Greedy_GD` and `Pri_GD`.
 
-use crate::assignment::{greedy_pick, Assignment, Target};
+use crate::assignment::{Assignment, GreedyPass, Target};
 use crate::policy::{CachingPolicy, SlotContext, SlotFeedback};
 use lexcache_obs as obs;
 
-fn demands_of(ctx: &SlotContext<'_>) -> Vec<f64> {
+fn demands_of<'a>(ctx: &SlotContext<'a>) -> &'a [f64] {
     let Some(demands) = ctx.given_demands else {
         panic!("the *_GD baselines run in the given-demands regime; enable reveal_demands")
     };
-    demands.to_vec()
+    demands
 }
 
 /// `Greedy_GD`: "each base station greedily selects a service and its
@@ -41,8 +41,11 @@ impl CachingPolicy for GreedyGd {
         let _span = obs::span("decide/greedy");
         let demands = demands_of(ctx);
         let mut load = vec![0.0; ctx.topo.len()];
-        let targets = (0..demands.len())
-            .map(|l| greedy_pick(ctx, l, demands[l], &mut load))
+        let mut pass = GreedyPass::over(ctx, &mut load, demands.iter().copied());
+        let targets = demands
+            .iter()
+            .enumerate()
+            .map(|(l, &d)| pass.pick(l, d))
             .collect();
         Assignment::new(targets)
     }
@@ -78,9 +81,10 @@ impl CachingPolicy for PriGd {
             let pb = ctx.scenario.requests()[b].cover_count();
             pb.cmp(&pa).then(a.cmp(&b))
         });
+        let mut pass = GreedyPass::over(ctx, &mut load, demands.iter().copied());
         let mut targets = vec![Target::Remote; demands.len()];
         for l in order {
-            targets[l] = greedy_pick(ctx, l, demands[l], &mut load);
+            targets[l] = pass.pick(l, demands[l]);
         }
         Assignment::new(targets)
     }

@@ -32,6 +32,7 @@ mod tests {
         prior: Vec<f64>,
         demands: Vec<f64>,
         stations: StationView,
+        station_order: std::cell::OnceCell<crate::StationOrder>,
     }
 
     fn fixture(seed: u64) -> Fixture {
@@ -58,6 +59,7 @@ mod tests {
             prior,
             demands,
             stations,
+            station_order: std::cell::OnceCell::new(),
         }
     }
 
@@ -69,6 +71,7 @@ mod tests {
                 scenario: &self.scenario,
                 given_demands: Some(&self.demands),
                 transfer: &self.transfer,
+                station_order: &self.station_order,
                 prior_delay: &self.prior,
                 remote_delay: 75.0,
                 net_cfg: &self.net_cfg,

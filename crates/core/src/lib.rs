@@ -60,7 +60,7 @@ pub mod sim;
 pub use algorithms::{
     ol_ewma, ol_holt, ol_naive, GreedyGd, OlForecast, OlGan, OlGd, OlReg, OlUcb, PriGd,
 };
-pub use assignment::{Assignment, Target};
+pub use assignment::{Assignment, StationOrder, Target};
 pub use cache::CacheState;
 pub use lexcache_queue::{Discipline as QueueDiscipline, QueueConfig, ResilConfig};
 pub use lowering::{StationView, TransferCosts};

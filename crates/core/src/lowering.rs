@@ -12,11 +12,17 @@ use simplex::CachingLp;
 /// delay; serving a request away from its registered station additionally
 /// drags its data across backhaul links, which is what makes real
 /// (bottlenecked) topologies harder than synthetic ones in Fig. 5.
+///
+/// Requests registered at the same station share one row, so the
+/// matrix holds one Dijkstra row per distinct registered station.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferCosts {
-    /// `cost[l][i]`: ms per data unit from request `l`'s registered
-    /// station to station `i`.
-    cost: Vec<Vec<f64>>,
+    /// `rows[r][i]`: ms per data unit from the `r`-th distinct
+    /// registered station (in order of first registration) to station
+    /// `i`.
+    rows: Vec<Vec<f64>>,
+    /// `row_of[l]`: the row of request `l`.
+    row_of: Vec<usize>,
 }
 
 impl TransferCosts {
@@ -36,33 +42,42 @@ impl TransferCosts {
     /// Panics if `link_up.len() != topo.edge_count()`.
     pub fn compute_masked(topo: &Topology, scenario: &Scenario, link_up: &[bool]) -> Self {
         assert_eq!(link_up.len(), topo.edge_count(), "one flag per edge");
-        // BTreeMap, not HashMap: this cache is keyed by station index
-        // on the per-episode decision path, and same-seed runs must
-        // not depend on hasher state (lexlint LX03).
-        let mut by_source: std::collections::BTreeMap<usize, Vec<f64>> =
-            std::collections::BTreeMap::new();
-        let cost = scenario
+        let mut row_of_station: Vec<Option<usize>> = vec![None; topo.len()];
+        let mut rows = Vec::new();
+        let row_of = scenario
             .requests()
             .iter()
             .map(|r| {
                 let src = r.registered_bs().index();
-                by_source
-                    .entry(src)
-                    .or_insert_with(|| dijkstra(topo, src, link_up))
-                    .clone()
+                *row_of_station[src].get_or_insert_with(|| {
+                    rows.push(dijkstra(topo, src, link_up));
+                    rows.len() - 1
+                })
             })
             .collect();
-        TransferCosts { cost }
+        TransferCosts { rows, row_of }
     }
 
     /// Transfer cost of serving request `l` at station `bs`, ms/unit.
     pub fn get(&self, l: usize, bs: BsId) -> f64 {
-        self.cost[l][bs.index()]
+        self.row(l)[bs.index()]
     }
 
-    /// The full matrix.
-    pub fn matrix(&self) -> &[Vec<f64>] {
-        &self.cost
+    /// Request `l`'s transfer cost to every station, ms/unit: the row it
+    /// shares with every request registered at the same station.
+    pub fn row(&self, l: usize) -> &[f64] {
+        &self.rows[self.row_of[l]]
+    }
+
+    /// One row per distinct registered station.
+    pub(crate) fn rows(&self) -> &[Vec<f64>] {
+        &self.rows
+    }
+
+    /// `row_indices()[l]`: the index into [`TransferCosts::rows`] of
+    /// request `l`'s row.
+    pub(crate) fn row_indices(&self) -> &[usize] {
+        &self.row_of
     }
 }
 
@@ -334,7 +349,13 @@ pub fn build_caching_lp(
     let unit_cost: Vec<Vec<f64>> = (0..demands.len())
         .map(|l| {
             let mut row = Vec::with_capacity(n + 1);
-            row.extend((0..n).map(|i| (believed_delay[i] + transfer.get(l, BsId(i))) * weight[i]));
+            row.extend(
+                believed_delay
+                    .iter()
+                    .zip(&transfer.row(l)[..n])
+                    .zip(weight)
+                    .map(|((&b, &t), &w)| (b + t) * w),
+            );
             row.push(remote_delay);
             row
         })
@@ -414,6 +435,34 @@ mod tests {
         let t = TransferCosts::compute(&topo, &scenario);
         for (l, r) in scenario.requests().iter().enumerate() {
             assert_eq!(t.get(l, r.registered_bs()), 0.0);
+        }
+    }
+
+    #[test]
+    fn requests_registered_at_one_station_share_a_row() {
+        let (topo, _, scenario) = setup();
+        let t = TransferCosts::compute(&topo, &scenario);
+        let registered: Vec<usize> = scenario
+            .requests()
+            .iter()
+            .map(|r| r.registered_bs().index())
+            .collect();
+        let mut distinct = registered.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() < registered.len(),
+            "some requests share a station"
+        );
+        assert_eq!(t.rows().len(), distinct.len());
+        for (a, &ra) in registered.iter().enumerate() {
+            for (b, &rb) in registered.iter().enumerate() {
+                let shared = std::ptr::eq(t.row(a), t.row(b));
+                assert_eq!(shared, ra == rb, "requests {a} and {b}");
+                assert_eq!(shared, t.row_indices()[a] == t.row_indices()[b]);
+            }
+            assert_eq!(t.row(a)[ra], 0.0);
+            assert_eq!(t.row(a).len(), topo.len());
         }
     }
 

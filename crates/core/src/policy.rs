@@ -1,10 +1,11 @@
 //! The policy interface every caching algorithm implements.
 
-use crate::assignment::Assignment;
+use crate::assignment::{Assignment, StationOrder};
 use crate::lowering::{StationView, TransferCosts};
 use bandit::EpsilonSchedule;
 use mec_net::Topology;
 use mec_workload::Scenario;
+use std::cell::OnceCell;
 
 /// Everything a policy may look at when deciding one slot.
 ///
@@ -23,6 +24,11 @@ pub struct SlotContext<'a> {
     pub given_demands: Option<&'a [f64]>,
     /// Per-unit transfer delays request → station.
     pub transfer: &'a TransferCosts,
+    /// `Greedy_GD`'s cheapest-first station order over `transfer`,
+    /// `prior_delay` and `remote_delay`, built by the first greedy
+    /// placement that reads it. Whoever changes one of the three must
+    /// empty it.
+    pub station_order: &'a OnceCell<StationOrder>,
     /// Historical (tier-prior) unit delays per station, used by the
     /// baselines and as the belief for never-pulled arms.
     pub prior_delay: &'a [f64],

@@ -1,6 +1,6 @@
 //! The slot-by-slot simulation engine.
 
-use crate::assignment::{cheapest_station, greedy_pick, Assignment, Target};
+use crate::assignment::{cheapest_station, Assignment, GreedyPass, StationOrder, Target};
 use crate::lowering::{build_caching_lp, StationView, TransferCosts};
 use crate::metrics::{EpisodeReport, SlotMetrics};
 use crate::policy::{CachingPolicy, SlotContext, SlotFeedback};
@@ -10,6 +10,7 @@ use mec_net::delay::{CongestionDelay, DelayProcess, RemoteDcDelay, UniformTierDe
 use mec_net::{BsId, DrainState, FaultConfig, FaultProcess, NetworkConfig, Topology};
 use mec_workload::demand::DemandProcess as _;
 use mec_workload::Scenario;
+use std::cell::OnceCell;
 
 /// Which hidden unit-delay process drives the episode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -188,6 +189,9 @@ pub struct Episode {
     /// Transfer costs over the links alive this slot: recomputed from
     /// the topology whenever the fault process changes a link's state.
     transfer: TransferCosts,
+    /// `Greedy_GD`'s station order over `transfer`: built by the first
+    /// greedy placement, emptied with every recomputation of `transfer`.
+    station_order: OnceCell<StationOrder>,
     prior_delay: Vec<f64>,
     delay: Box<dyn DelayProcess>,
     remote: RemoteDcDelay,
@@ -257,6 +261,7 @@ impl Episode {
             net_cfg,
             scenario,
             transfer,
+            station_order: OnceCell::new(),
             prior_delay,
             delay,
             remote,
@@ -406,6 +411,7 @@ impl Episode {
         );
         if fp.links_changed() {
             self.transfer = TransferCosts::compute_masked(&self.topo, &self.scenario, fp.link_up());
+            self.station_order = OnceCell::new();
         }
         self.stations
             .set_faults(fp.station_up(), fp.capacity_factors(), fp.drain_states());
@@ -420,6 +426,7 @@ impl Episode {
             scenario: &self.scenario,
             given_demands: self.cfg.reveal_demands.then_some(demands),
             transfer: &self.transfer,
+            station_order: &self.station_order,
             prior_delay: &self.prior_delay,
             remote_delay: self.net_cfg.remote_dc_delay_ms.mid(),
             net_cfg: &self.net_cfg,
@@ -472,7 +479,7 @@ impl Episode {
                 Target::Edge(bs) => {
                     let i = bs.index();
                     processing +=
-                        demands[l] * (realized[i] * overload[i] + self.transfer.get(l, *bs));
+                        demands[l] * (realized[i] * overload[i] + self.transfer.row(l)[i]);
                     let k = self.scenario.requests()[l].service().index();
                     used[k * n + i] = true;
                 }
@@ -701,7 +708,7 @@ fn decide(
 /// Graceful degradation, run after `decide` when faults are active:
 /// nothing may stay assigned to a down station, whatever the policy
 /// returned. Each such request is re-routed by `Greedy_GD`'s rule
-/// ([`greedy_pick`]) to its cheapest alive station with spare
+/// (one [`GreedyPass`]) to its cheapest alive station with spare
 /// (brown-out-adjusted) capacity, or to the remote data centre when none
 /// has room. A second, pre-emptive pass then evacuates requests parked
 /// on stations one slot away from a scheduled preemption kill
@@ -721,10 +728,14 @@ fn repair_faulted_assignment(
     // Down stations' entries are summed too, but no pass reads them.
     let mut load = assignment.station_load(demands, n);
     let mut targets = assignment.targets().to_vec();
-    for (l, target) in targets.iter_mut().enumerate() {
-        if matches!(*target, Target::Edge(bs) if !up[bs.index()]) {
-            *target = greedy_pick(ctx, l, demands[l], &mut load);
-            if target.is_edge() {
+    let stranded: Vec<usize> = (0..targets.len())
+        .filter(|&l| matches!(targets[l], Target::Edge(bs) if !up[bs.index()]))
+        .collect();
+    if !stranded.is_empty() {
+        let mut pass = GreedyPass::over(ctx, &mut load, stranded.iter().map(|&l| demands[l]));
+        for &l in &stranded {
+            targets[l] = pass.pick(l, demands[l]);
+            if targets[l].is_edge() {
                 m.rerouted_count += 1;
             } else {
                 m.dropped_count += 1;
@@ -747,11 +758,12 @@ fn repair_faulted_assignment(
             if drain[bs.index()] != DrainState::Draining(1) || !up[bs.index()] {
                 continue;
             }
+            let transfer = ctx.transfer.row(l);
             let safe = cheapest_station(
                 n,
                 f64::INFINITY,
                 |i| up[i] && !drain[i].is_draining() && load[i] + demands[l] <= capacity[i] + 1e-9,
-                |i| ctx.prior_delay[i] + ctx.transfer.get(l, BsId(i)),
+                |i| ctx.prior_delay[i] + transfer[i],
             );
             if let Some(i) = safe {
                 load[bs.index()] -= demands[l];
@@ -777,7 +789,7 @@ fn repair_faulted_assignment(
 mod tests {
     use super::*;
     use crate::algorithms::{GreedyGd, OlGd, OlReg, PriGd};
-    use crate::assignment::Target;
+    use crate::assignment::{scan_pick, Target};
     use crate::policy::PolicyConfig;
     use lexcache_runner::mini_json::ToJson;
     use mec_net::topology::gtitm;
@@ -1051,6 +1063,90 @@ mod tests {
         for (i, &l) in load.iter().enumerate() {
             let cap = ep.topology().stations()[i].capacity_mhz() / ep.scenario().c_unit_mhz();
             assert!(l <= cap + 1e-6, "station {i} overloaded after repair: {l}");
+        }
+    }
+
+    /// Places every request by the reference scan ([`scan_pick`]), in
+    /// `Greedy_GD`'s request order or `Pri_GD`'s, under the same name;
+    /// counts the slots whose transfer costs differ from the slot
+    /// before.
+    struct ScanGreedy {
+        name: &'static str,
+        by_priority: bool,
+        last_transfer: Option<TransferCosts>,
+        transfer_changes: usize,
+    }
+
+    impl CachingPolicy for ScanGreedy {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+
+        fn decide(&mut self, ctx: &SlotContext<'_>) -> crate::Assignment {
+            if self
+                .last_transfer
+                .as_ref()
+                .is_some_and(|t| t != ctx.transfer)
+            {
+                self.transfer_changes += 1;
+            }
+            self.last_transfer = Some(ctx.transfer.clone());
+            let demands = ctx.given_demands.expect("given-demand regime");
+            let mut order: Vec<usize> = (0..demands.len()).collect();
+            if self.by_priority {
+                let cover = |l: usize| ctx.scenario.requests()[l].cover_count();
+                order.sort_by(|&a, &b| cover(b).cmp(&cover(a)).then(a.cmp(&b)));
+            }
+            let mut load = vec![0.0; ctx.topo.len()];
+            let mut targets = vec![Target::Remote; demands.len()];
+            for l in order {
+                targets[l] = scan_pick(
+                    ctx.stations.up(),
+                    ctx.stations.capacity(),
+                    ctx.prior_delay,
+                    ctx.transfer.row(l),
+                    ctx.remote_delay,
+                    demands[l],
+                    &mut load,
+                );
+            }
+            crate::Assignment::new(targets)
+        }
+
+        fn observe(&mut self, _fb: &SlotFeedback<'_>) {}
+    }
+
+    /// Link failures recompute the transfer costs mid-episode, and with
+    /// them the station order: `Greedy_GD` and `Pri_GD` must place
+    /// exactly as the reference scan over the current costs does.
+    #[test]
+    fn greedy_episodes_under_link_changes_match_the_reference_scan() {
+        let run = |policy: &mut dyn CachingPolicy| {
+            let cfg = NetworkConfig::paper_defaults();
+            let topo = gtitm::generate(20, &cfg, 31);
+            let scenario = ScenarioConfig::small().with_requests(200).build(&topo, 31);
+            let ep_cfg = EpisodeConfig::new(31).with_faults(FaultConfig::intensity(0.3));
+            let mut ep = Episode::with_config(topo, cfg, scenario, ep_cfg);
+            ep.run(policy, 40).with_zeroed_timings()
+        };
+        for (mut walk, by_priority) in [
+            (Box::new(GreedyGd::new()) as Box<dyn CachingPolicy>, false),
+            (Box::new(PriGd::new()) as Box<dyn CachingPolicy>, true),
+        ] {
+            let mut scan = ScanGreedy {
+                name: walk.name(),
+                by_priority,
+                last_transfer: None,
+                transfer_changes: 0,
+            };
+            let (walked, scanned) = (run(walk.as_mut()), run(&mut scan));
+            assert_eq!(walked.to_json(), scanned.to_json(), "{}", scan.name);
+            assert!(
+                scan.transfer_changes > 0,
+                "links must change the transfer costs during the episode"
+            );
+            let remote: usize = scanned.slots.iter().map(|s| s.remote_count).sum();
+            assert!(remote > 0, "some requests find no station with slack");
         }
     }
 

@@ -191,16 +191,14 @@ pub fn check_lexed(file: &str, src: &str, lexed: &Lexed, cfg: &Config) -> Vec<Fi
                     );
                 }
             }
-            TokKind::Punct if t.text == "==" || t.text == "!=" => {
-                // LX06: float equality.
-                if float_operand(toks, i) {
-                    push(
-                        "LX06",
-                        t.line,
-                        "compare with an explicit tolerance, use total_cmp, or justify with `// lexlint: allow(LX06): <reason>`",
-                        None,
-                    );
-                }
+            // LX06: float equality.
+            TokKind::Punct if (t.text == "==" || t.text == "!=") && float_operand(toks, i) => {
+                push(
+                    "LX06",
+                    t.line,
+                    "compare with an explicit tolerance, use total_cmp, or justify with `// lexlint: allow(LX06): <reason>`",
+                    None,
+                );
             }
             _ => {}
         }

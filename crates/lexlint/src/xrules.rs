@@ -115,13 +115,14 @@ pub fn check_file_x(
         {
             push("LX10", t.line, None);
         }
-        if t.text == "load" && rules::prev_is_dot(toks, i) && rules::next_is(toks, i, "(") {
-            if relaxed_args(toks, i + 1)
-                && branch_feeding(toks, i, ast)
-                && !rules::has_why_comment(&lexed.comments, t.line)
-            {
-                push("LX11", t.line, None);
-            }
+        if t.text == "load"
+            && rules::prev_is_dot(toks, i)
+            && rules::next_is(toks, i, "(")
+            && relaxed_args(toks, i + 1)
+            && branch_feeding(toks, i, ast)
+            && !rules::has_why_comment(&lexed.comments, t.line)
+        {
+            push("LX11", t.line, None);
         }
     }
 
@@ -479,8 +480,10 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n fn t() { let x = std::time::Instant::now(); }\n}\n";
         assert!(findings(src).is_empty(), "test regions are exempt");
 
-        let mut cfg = Config::default();
-        cfg.lx07_allow = vec!["crates/runner/src/clock.rs".to_string()];
+        let cfg = Config {
+            lx07_allow: vec!["crates/runner/src/clock.rs".to_string()],
+            ..Config::default()
+        };
         let body = "fn f() { let t = std::time::Instant::now(); }\n";
         let lexed = lex(body);
         let ast = parse(&lexed.toks);

@@ -536,13 +536,14 @@ mod tests {
         let cells = t.cell_demand_series();
         let users = t.user_demand_series();
         let user_cells = t.user_cells();
+        assert_eq!(cells.len(), 2);
         for slot in 0..10 {
-            for c in 0..2 {
+            for (c, cell) in cells.iter().enumerate() {
                 let expect: f64 = (0..6)
                     .filter(|&u| user_cells[u] == c)
                     .map(|u| users[u][slot])
                     .sum();
-                assert!((cells[c][slot] - expect).abs() < 1e-9);
+                assert!((cell[slot] - expect).abs() < 1e-9);
             }
         }
     }

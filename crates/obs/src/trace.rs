@@ -827,17 +827,18 @@ mod tests {
 
     #[test]
     fn decide_summary_groups_by_series_label() {
-        let mut events = Vec::new();
-        // Cell 0 (OL_GD repeat 0): sim/decide wrapping decide/lp_build.
-        events.push(ev(KIND_BEGIN, 0, 1, 0, 0)); // sim/decide
-        events.push(ev(KIND_BEGIN, 1, 1, 0, 100)); // decide/lp_build
-        events.push(ev(KIND_END, 1, 1, 0, 600));
-        events.push(ev(KIND_END, 0, 1, 0, 1_000));
-        // Cell 2 (Greedy_GD repeat 0).
-        events.push(ev(KIND_BEGIN, 0, 1, 2, 0));
-        events.push(ev(KIND_BEGIN, 2, 1, 2, 0)); // decide/greedy
-        events.push(ev(KIND_END, 2, 1, 2, 200));
-        events.push(ev(KIND_END, 0, 1, 2, 400));
+        let events = vec![
+            // Cell 0 (OL_GD repeat 0): sim/decide wrapping decide/lp_build.
+            ev(KIND_BEGIN, 0, 1, 0, 0),   // sim/decide
+            ev(KIND_BEGIN, 1, 1, 0, 100), // decide/lp_build
+            ev(KIND_END, 1, 1, 0, 600),
+            ev(KIND_END, 0, 1, 0, 1_000),
+            // Cell 2 (Greedy_GD repeat 0).
+            ev(KIND_BEGIN, 0, 1, 2, 0),
+            ev(KIND_BEGIN, 2, 1, 2, 0), // decide/greedy
+            ev(KIND_END, 2, 1, 2, 200),
+            ev(KIND_END, 0, 1, 2, 400),
+        ];
         let snap = snapshot(&["sim/decide", "decide/lp_build", "decide/greedy"], events);
         let table = snap.render_decide_summary();
         assert!(table.contains("OL_GD"), "{table}");
@@ -855,21 +856,22 @@ mod tests {
             "faults/preempt_notice",
             "runner/queue_wait",
         ];
-        let mut events = Vec::new();
-        // Cell 0 (OL_GD repeat 0): one decide span, a panic + retry pair
-        // and two preemption notices.
-        events.push(ev(KIND_BEGIN, 0, 1, 0, 0));
-        events.push(ev(KIND_END, 0, 1, 0, 500));
-        events.push(ev(KIND_INSTANT, 1, 1, 0, 600));
-        events.push(ev(KIND_INSTANT, 2, 1, 0, 700));
-        events.push(ev(KIND_INSTANT, 3, 1, 0, 800));
-        events.push(ev(KIND_INSTANT, 3, 1, 0, 900));
-        // Queue-wait instants are bookkeeping, not incidents.
-        events.push(ev(KIND_INSTANT, 4, 1, 0, 950));
-        // Cell 2 (Greedy_GD repeat 0): a notice but no runner trouble.
-        events.push(ev(KIND_INSTANT, 3, 1, 2, 100));
-        // An unlabelled main-track instant must be ignored.
-        events.push(ev(KIND_INSTANT, 1, 1, MAIN_TRACK, 1_000));
+        let events = vec![
+            // Cell 0 (OL_GD repeat 0): one decide span, a panic + retry
+            // pair and two preemption notices.
+            ev(KIND_BEGIN, 0, 1, 0, 0),
+            ev(KIND_END, 0, 1, 0, 500),
+            ev(KIND_INSTANT, 1, 1, 0, 600),
+            ev(KIND_INSTANT, 2, 1, 0, 700),
+            ev(KIND_INSTANT, 3, 1, 0, 800),
+            ev(KIND_INSTANT, 3, 1, 0, 900),
+            // Queue-wait instants are bookkeeping, not incidents.
+            ev(KIND_INSTANT, 4, 1, 0, 950),
+            // Cell 2 (Greedy_GD repeat 0): a notice but no runner trouble.
+            ev(KIND_INSTANT, 3, 1, 2, 100),
+            // An unlabelled main-track instant must be ignored.
+            ev(KIND_INSTANT, 1, 1, MAIN_TRACK, 1_000),
+        ];
         let snap = snapshot(&names, events);
         let table = snap.render_decide_summary();
         assert!(

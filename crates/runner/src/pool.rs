@@ -491,8 +491,8 @@ mod tests {
             let mut start = 0;
             while start < n {
                 let end = (start + c).min(n);
-                for i in start..end {
-                    seen[i] += 1;
+                for s in &mut seen[start..end] {
+                    *s += 1;
                 }
                 start = end;
             }
