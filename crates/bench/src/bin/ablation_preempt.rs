@@ -18,8 +18,9 @@
 //! (fewer cold restarts, fewer post-outage repairs), with the learning
 //! policies benefiting ahead of the warning-blind greedy baselines.
 //!
-//! `--smoke` runs a tiny grid through the full parallel sweep harness
-//! and is byte-comparable across worker counts with
+//! `--smoke` runs a tiny grid through the full parallel sweep harness,
+//! asserts that some preemption notice fired and some warm cache entry
+//! migrated, and is byte-comparable across worker counts with
 //! `LEXCACHE_ZERO_TIMINGS=1` (the preempt-smoke CI diff).
 
 use bench::{
@@ -176,9 +177,14 @@ fn smoke() {
     let results = run_grid(&specs, 2);
     let mut json = Vec::new();
     let mut rows = results.into_iter();
+    let (mut drained, mut migrated) = (0usize, 0usize);
     for algo in ALGOS {
         for &notice in &NOTICES {
             let reports = rows.next().expect("one row per smoke point");
+            let warned = reports.iter().map(|r| r.total_drained()).sum::<usize>();
+            let moved = reports.iter().map(|r| r.total_migrated()).sum::<usize>();
+            drained += warned;
+            migrated += moved;
             for report in &reports {
                 let delay = report.mean_avg_delay_ms();
                 assert!(
@@ -198,8 +204,8 @@ fn smoke() {
                 "  {:>9}  notice {notice:>2}: {mean:>8.2} ms  warned {:>2}  migrated {:>3}  \
                  proactive {:>3}",
                 algo.name(),
-                reports.iter().map(|r| r.total_drained()).sum::<usize>(),
-                reports.iter().map(|r| r.total_migrated()).sum::<usize>(),
+                warned,
+                moved,
                 reports
                     .iter()
                     .map(|r| r.total_proactive_reroutes())
@@ -211,6 +217,15 @@ fn smoke() {
             });
         }
     }
+    assert!(
+        drained > 0,
+        "no preemption notice ever fired in the smoke grid"
+    );
+    assert!(
+        migrated > 0,
+        "no warm cache entry was ever migrated off a doomed station"
+    );
+    println!("\n{drained} notices, {migrated} migrated entries");
     maybe_write_json("ablation_preempt", &json);
     println!("\nsmoke ok");
 }

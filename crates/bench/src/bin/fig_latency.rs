@@ -15,8 +15,9 @@
 //! the horizon. Policies with better placement spread load more evenly
 //! and keep the tail shorter at the same ρ.
 //!
-//! `--smoke` runs a tiny grid through the full parallel sweep harness
-//! and is byte-comparable across worker counts with
+//! `--smoke` runs a tiny grid through the full parallel sweep harness,
+//! asserts that the mean p99 sojourn at ρ = 1.1 exceeds the one at
+//! ρ = 0.5, and is byte-comparable across worker counts with
 //! `LEXCACHE_ZERO_TIMINGS=1` (the queue-smoke CI diff).
 
 use bench::{
@@ -152,9 +153,12 @@ fn smoke() {
     let mut json = Vec::new();
     let mut rows = results.into_iter();
     let mut measured_any_sojourn = false;
+    // Each report's mean p99 sojourn, per ρ over every policy.
+    let mut p99s_by_rho = vec![Vec::new(); RHOS.len()];
     for algo in ALGOS {
-        for &rho in &RHOS {
+        for (i, &rho) in RHOS.iter().enumerate() {
             let reports = rows.next().expect("one row per smoke point");
+            p99s_by_rho[i].extend(reports.iter().map(|r| r.mean_p99_sojourn_ms()));
             for report in &reports {
                 let delay = report.mean_avg_delay_ms();
                 assert!(
@@ -195,6 +199,20 @@ fn smoke() {
     assert!(
         measured_any_sojourn,
         "a loaded queue must measure at least one non-zero sojourn"
+    );
+    let light = mean_std(&p99s_by_rho[0]).0;
+    let saturated = mean_std(&p99s_by_rho[RHOS.len() - 1]).0;
+    assert!(
+        saturated > light,
+        "the p99 tail did not grow with load: {saturated:.2} ms at rho {} vs \
+         {light:.2} ms at rho {}",
+        RHOS[RHOS.len() - 1],
+        RHOS[0]
+    );
+    println!(
+        "\nmean p99 sojourn {light:.2} ms at rho {} vs {saturated:.2} ms at rho {}",
+        RHOS[0],
+        RHOS[RHOS.len() - 1]
     );
     maybe_write_json("fig_latency", &json);
     println!("\nsmoke ok");

@@ -12,44 +12,43 @@
 //! is itself deterministic because the whole simulation is
 //! single-threaded per episode.
 //!
-//! Events live in four streams, each already in key order, and a pop
+//! Events live in three streams, each already in key order, and a pop
 //! takes the least head among them:
 //!
-//! * first-attempt arrivals and deadline timeouts each go in a FIFO.
-//!   The simulator pushes both in non-decreasing time (a slot's
-//!   arrivals come sorted, and a timeout is `arrival + deadline`,
-//!   pushed when its arrival pops), so appending keeps each FIFO
-//!   sorted; an event earlier than its FIFO's tail goes to the heap;
-//! * each station holds at most one pending departure, in a min-tree
-//!   over stations. A reschedule overwrites it and an idle station
-//!   clears it, so no superseded departure is ever stored or popped;
+//! * first-attempt arrivals go in a FIFO. A slot's arrivals come
+//!   sorted, so appending keeps the FIFO sorted; an arrival earlier
+//!   than its tail goes to the heap;
+//! * each station holds at most one pending event, in a min-tree over
+//!   stations: the earlier of its next departure and its oldest
+//!   resident's deadline. A re-plan overwrites it and a station with
+//!   neither clears it, so no superseded event is ever stored or
+//!   popped;
 //! * a small binary heap takes retries (backoff puts them out of
-//!   order), slot boundaries and the out-of-order arrivals and
-//!   timeouts.
+//!   order), slot boundaries and the out-of-order arrivals.
 //!
-//! One sequence counter numbers every push across the streams, so the
-//! pop order is exactly that of a single `(tick, seq)` heap that skips
-//! superseded departures.
+//! One sequence counter numbers every event. A deadline is numbered
+//! when its job joins its station ([`EventQueue::draw_seq`]) and keeps
+//! that number through every re-plan, so the pop order is exactly that
+//! of a single `(tick, seq)` heap of every departure and deadline that
+//! skips those a later plan of their station superseded.
 
-use crate::job::JobId;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// One scheduled simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueEvent {
+pub(crate) enum QueueEvent {
     /// A job reaches its station's queue. Its slot stays occupied
-    /// until this event pops, so the handle is always live here.
+    /// until this event pops.
     JobArrival {
-        /// Handle of the arriving job.
-        job: JobId,
+        /// Slot index of the arriving job.
+        job: usize,
     },
     /// The predicted next completion at a station. Carries the station
     /// schedule `version` at scheduling time. Every change that
     /// re-plans the schedule (an arrival, a capacity change, a job
-    /// leaving) bumps the version and then replaces or clears the
-    /// station's pending departure, so a popped departure always
-    /// carries the current version; that also proves the job's slot
-    /// has not been recycled.
+    /// leaving) bumps the version and then re-plans the station's
+    /// pending event, so a popped departure always carries the current
+    /// version; that also proves the job's slot has not been recycled.
     JobDeparture {
         /// Station index.
         station: usize,
@@ -58,15 +57,15 @@ pub enum QueueEvent {
         /// Station schedule version captured when this was scheduled.
         version: u64,
     },
-    /// A job's deadline expires. If the job is still resident at its
-    /// station it departs early as a deadline miss (and may retry);
-    /// if it already left, the handle's generation no longer matches
-    /// its slot (which may hold a newer job by now) and the event is
-    /// ignored. Only pushed when the resilience layer's deadlines are
-    /// enabled, so a resilience-off run's event sequence is untouched.
+    /// The deadline of a station's oldest resident expires: that job
+    /// departs early as a deadline miss (and may retry). Residents join
+    /// in time order and every deadline is the join time plus one fixed
+    /// budget, so no other resident can expire first. Only planned when
+    /// the resilience layer's deadlines are enabled, so a
+    /// resilience-off run's event sequence is untouched.
     JobTimeout {
-        /// Generation-checked handle of the expiring job.
-        job: JobId,
+        /// Station index.
+        station: usize,
     },
     /// End-of-slot marker; bounds one [`run_slot`] drain.
     ///
@@ -82,7 +81,7 @@ pub enum QueueEvent {
 /// For non-negative finite doubles the unsigned bit order coincides
 /// with numeric order, so this is an exact, total, `partial_cmp`-free
 /// ordering key (no quantization, no NaN hazard).
-pub fn time_to_tick(time_ms: f64) -> u64 {
+fn time_to_tick(time_ms: f64) -> u64 {
     assert!(
         time_ms.is_finite() && time_ms >= 0.0,
         "event times must be non-negative finite ms, got {time_ms}"
@@ -140,21 +139,14 @@ impl Ord for Entry {
     }
 }
 
-/// A station's pending departure payload.
-#[derive(Debug, Clone, Copy, Default)]
-struct Pending {
-    job: usize,
-    version: u64,
-}
-
-/// Each station's pending departure, with a tournament tree over the
-/// stations that names the one departing first.
+/// Each station's pending event, with a tournament tree over the
+/// stations that names the one due first.
 #[derive(Debug)]
-struct DepartureTree {
-    /// Key of each station's pending departure ([`Key::NONE`] when it
-    /// has none), padded with empty leaves to `leaves` entries.
+struct StationTree {
+    /// Key of each station's pending event ([`Key::NONE`] when it has
+    /// none), padded with empty leaves to `leaves` entries.
     keys: Vec<Key>,
-    pending: Vec<Pending>,
+    events: Vec<Option<QueueEvent>>,
     /// Power of two ≥ the station count.
     leaves: usize,
     /// `winner[k]` for node `k` in `1..leaves` is the station with the
@@ -163,7 +155,7 @@ struct DepartureTree {
     winner: Vec<usize>,
 }
 
-impl DepartureTree {
+impl StationTree {
     fn new(n_stations: usize) -> Self {
         let leaves = n_stations.max(1).next_power_of_two();
         let mut winner = vec![0; 2 * leaves];
@@ -173,23 +165,24 @@ impl DepartureTree {
         for k in (1..leaves).rev() {
             winner[k] = winner[2 * k];
         }
-        DepartureTree {
+        StationTree {
             keys: vec![Key::NONE; leaves],
-            pending: vec![Pending::default(); leaves],
+            events: vec![None; leaves],
             leaves,
             winner,
         }
     }
 
-    /// The station departing first and its key ([`Key::NONE`] if none).
+    /// The station due first and its key ([`Key::NONE`] if none).
     fn min(&self) -> (usize, Key) {
         let station = self.winner[1];
         (station, self.keys[station])
     }
 
-    fn set(&mut self, station: usize, key: Key, pending: Pending) {
-        self.keys[station] = key;
-        self.pending[station] = pending;
+    /// Replaces `station`'s pending event (`None` clears it).
+    fn set(&mut self, station: usize, next: Option<(Key, QueueEvent)>) {
+        self.keys[station] = next.map_or(Key::NONE, |(key, _)| key);
+        self.events[station] = next.map(|(_, event)| event);
         let mut k = (self.leaves + station) / 2;
         while k >= 1 {
             let (l, r) = (self.winner[2 * k], self.winner[2 * k + 1]);
@@ -200,12 +193,11 @@ impl DepartureTree {
 }
 
 /// Min-ordered event queue over [`QueueEvent`]s that stores no
-/// superseded departure.
+/// superseded station event.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
-    arrivals: VecDeque<(Key, JobId)>,
-    timeouts: VecDeque<(Key, JobId)>,
-    departures: DepartureTree,
+    arrivals: VecDeque<(Key, usize)>,
+    stations: StationTree,
     heap: BinaryHeap<Entry>,
     seq: u64,
 }
@@ -215,20 +207,25 @@ impl EventQueue {
     pub(crate) fn new(n_stations: usize) -> Self {
         EventQueue {
             arrivals: VecDeque::new(),
-            timeouts: VecDeque::new(),
-            departures: DepartureTree::new(n_stations),
+            stations: StationTree::new(n_stations),
             heap: BinaryHeap::new(),
             seq: 0,
         }
     }
 
-    fn next_key(&mut self, time_ms: f64) -> Key {
-        let key = Key {
-            tick: time_to_tick(time_ms),
-            seq: self.seq,
-        };
+    /// Draws the next insertion sequence number. The simulator numbers
+    /// a deadline with it as its job joins a station, and
+    /// [`EventQueue::plan`] orders the deadline by that number.
+    pub(crate) fn draw_seq(&mut self) -> u64 {
         self.seq += 1;
-        key
+        self.seq - 1
+    }
+
+    fn next_key(&mut self, time_ms: f64) -> Key {
+        Key {
+            tick: time_to_tick(time_ms),
+            seq: self.draw_seq(),
+        }
     }
 
     /// Schedules `event` at `time_ms` (non-negative finite) in the
@@ -239,8 +236,9 @@ impl EventQueue {
         self.heap.push(Entry { key, event });
     }
 
-    /// Schedules a first-attempt arrival of `job` at `time_ms`.
-    pub(crate) fn push_arrival(&mut self, time_ms: f64, job: JobId) {
+    /// Schedules a first-attempt arrival of the job in slot `job` at
+    /// `time_ms`.
+    pub(crate) fn push_arrival(&mut self, time_ms: f64, job: usize) {
         let key = self.next_key(time_ms);
         if self.arrivals.back().is_some_and(|&(tail, _)| key < tail) {
             let event = QueueEvent::JobArrival { job };
@@ -250,54 +248,50 @@ impl EventQueue {
         }
     }
 
-    /// Schedules `job`'s deadline timeout at `time_ms`.
-    pub(crate) fn push_timeout(&mut self, time_ms: f64, job: JobId) {
-        let key = self.next_key(time_ms);
-        if self.timeouts.back().is_some_and(|&(tail, _)| key < tail) {
-            let event = QueueEvent::JobTimeout { job };
-            self.heap.push(Entry { key, event });
-        } else {
-            self.timeouts.push_back((key, job));
-        }
-    }
-
-    /// Replaces `station`'s pending departure with `job` finishing at
-    /// `time_ms` under schedule `version`.
-    pub(crate) fn set_departure(&mut self, station: usize, time_ms: f64, job: usize, version: u64) {
-        let key = self.next_key(time_ms);
-        self.departures.set(station, key, Pending { job, version });
-    }
-
-    /// Drops `station`'s pending departure, if any.
-    pub(crate) fn clear_departure(&mut self, station: usize) {
-        self.departures.set(station, Key::NONE, Pending::default());
+    /// Replaces `station`'s pending event with the earlier of its next
+    /// `departure` — `(time_ms, job, version)`, numbered now — and its
+    /// oldest resident's `deadline` — `(time_ms, seq)`, numbered by
+    /// [`EventQueue::draw_seq`] when that job joined. With neither, the
+    /// station has no pending event.
+    pub(crate) fn plan(
+        &mut self,
+        station: usize,
+        departure: Option<(f64, usize, u64)>,
+        deadline: Option<(f64, u64)>,
+    ) {
+        let departure = departure.map(|(time_ms, job, version)| {
+            let event = QueueEvent::JobDeparture {
+                station,
+                job,
+                version,
+            };
+            (self.next_key(time_ms), event)
+        });
+        let deadline = deadline.map(|(time_ms, seq)| {
+            let tick = time_to_tick(time_ms);
+            (Key { tick, seq }, QueueEvent::JobTimeout { station })
+        });
+        let next = departure.into_iter().chain(deadline).min_by_key(|e| e.0);
+        self.stations.set(station, next);
     }
 
     /// Pops the earliest event, ties broken by insertion order.
     pub(crate) fn pop(&mut self) -> Option<(f64, QueueEvent)> {
         let arrival = self.arrivals.front().map_or(Key::NONE, |e| e.0);
-        let timeout = self.timeouts.front().map_or(Key::NONE, |e| e.0);
-        let (station, departure) = self.departures.min();
+        let (station, planned) = self.stations.min();
         let general = self.heap.peek().map_or(Key::NONE, |e| e.key);
-        let key = arrival.min(timeout).min(departure).min(general);
-        // Keys are unique (one `seq` per push), so the least one names
+        let key = arrival.min(planned).min(general);
+        // Keys are unique (one `seq` per event), so the least one names
         // its stream.
         let event = if key == Key::NONE {
             return None;
         } else if key == arrival {
             let (_, job) = self.arrivals.pop_front()?;
             QueueEvent::JobArrival { job }
-        } else if key == timeout {
-            let (_, job) = self.timeouts.pop_front()?;
-            QueueEvent::JobTimeout { job }
-        } else if key == departure {
-            let Pending { job, version } = self.departures.pending[station];
-            self.clear_departure(station);
-            QueueEvent::JobDeparture {
-                station,
-                job,
-                version,
-            }
+        } else if key == planned {
+            let event = self.stations.events[station]?;
+            self.stations.set(station, None);
+            event
         } else {
             self.heap.pop()?.event
         };
@@ -307,18 +301,15 @@ impl EventQueue {
     /// Number of pending events.
     #[cfg(test)]
     fn len(&self) -> usize {
-        let departures = self.departures.keys.iter().filter(|&&k| k != Key::NONE);
-        self.arrivals.len() + self.timeouts.len() + departures.count() + self.heap.len()
+        let planned = self.stations.keys.iter().filter(|&&k| k != Key::NONE);
+        self.arrivals.len() + planned.count() + self.heap.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn id(index: u32) -> JobId {
-        JobId { index, gen: 0 }
-    }
+    use std::cmp::Reverse;
 
     fn drain(q: &mut EventQueue) -> Vec<(f64, QueueEvent)> {
         std::iter::from_fn(|| q.pop()).collect()
@@ -335,30 +326,34 @@ mod tests {
     #[test]
     fn pops_in_time_order_with_insertion_tiebreak() {
         let mut q = EventQueue::new(1);
-        q.push_arrival(2.0, id(0));
-        q.push_arrival(1.0, id(1));
-        q.push_arrival(1.0, id(2));
+        q.push_arrival(2.0, 0);
+        q.push_arrival(1.0, 1);
+        q.push_arrival(1.0, 2);
         q.push(0.5, QueueEvent::SlotBoundary { slot: 1 });
         assert_eq!(
             drain(&mut q),
             vec![
                 (0.5, QueueEvent::SlotBoundary { slot: 1 }),
-                (1.0, QueueEvent::JobArrival { job: id(1) }),
-                (1.0, QueueEvent::JobArrival { job: id(2) }),
-                (2.0, QueueEvent::JobArrival { job: id(0) }),
+                (1.0, QueueEvent::JobArrival { job: 1 }),
+                (1.0, QueueEvent::JobArrival { job: 2 }),
+                (2.0, QueueEvent::JobArrival { job: 0 }),
             ]
         );
         assert_eq!(q.len(), 0);
     }
 
     #[test]
-    fn a_departure_is_replaced_or_cleared_never_stacked() {
+    fn a_station_event_is_replaced_or_cleared_never_stacked() {
         let mut q = EventQueue::new(3);
-        q.set_departure(1, 5.0, 7, 1);
-        q.set_departure(1, 3.0, 8, 2); // supersedes the first
-        q.set_departure(2, 4.0, 9, 1);
-        q.set_departure(0, 1.0, 6, 1);
-        q.clear_departure(0);
+        let deadline = q.draw_seq();
+        // The second plan of station 1 supersedes the first.
+        q.plan(1, Some((5.0, 7, 1)), None);
+        q.plan(1, Some((3.0, 8, 2)), None);
+        // The deadline was numbered first, so it wins the tie at 4.0,
+        // and popping it consumes the station's plan.
+        q.plan(2, Some((4.0, 9, 1)), Some((4.0, deadline)));
+        q.plan(0, Some((1.0, 6, 1)), None);
+        q.plan(0, None, None);
         assert_eq!(q.len(), 2);
         assert_eq!(
             drain(&mut q),
@@ -371,14 +366,7 @@ mod tests {
                         version: 2
                     }
                 ),
-                (
-                    4.0,
-                    QueueEvent::JobDeparture {
-                        station: 2,
-                        job: 9,
-                        version: 1
-                    }
-                ),
+                (4.0, QueueEvent::JobTimeout { station: 2 }),
             ]
         );
     }
@@ -394,49 +382,89 @@ mod tests {
         let mut q = EventQueue::new(2);
         assert_eq!(q.len(), 0);
         q.push(0.0, QueueEvent::SlotBoundary { slot: 1 });
-        q.push_timeout(1.0, id(0));
-        q.set_departure(1, 2.0, 0, 1);
-        assert_eq!(q.len(), 3);
+        q.push_arrival(1.0, 0);
+        let deadline = q.draw_seq();
+        q.plan(1, Some((2.0, 0, 1)), Some((3.0, deadline)));
+        assert_eq!(q.len(), 3, "one pending event per station");
         q.pop();
         assert_eq!(q.len(), 2);
     }
 
-    /// The single `(tick, seq)` heap the streams replace: every push
-    /// goes in, and a pop skips each departure that a later
-    /// `set_departure` or `clear_departure` of its station superseded.
+    /// The single `(tick, seq)` heap the streams replace: every event
+    /// goes in, and a pop skips each station event that a later plan of
+    /// its station superseded.
     #[derive(Default)]
     struct Reference {
-        heap: BinaryHeap<Entry>,
+        /// Key, the station stamp of a station event (0 otherwise) and
+        /// the event's index in `events`.
+        heap: BinaryHeap<Reverse<(Key, u64, usize)>>,
+        events: Vec<QueueEvent>,
         seq: u64,
-        /// Per station, the version of its newest departure or clear.
+        /// Per station, the stamp of its newest plan.
         latest: Vec<u64>,
         stamps: u64,
     }
 
     impl Reference {
-        fn push(&mut self, time_ms: f64, event: QueueEvent) {
-            let key = Key {
-                tick: time_to_tick(time_ms),
-                seq: self.seq,
-            };
+        fn draw_seq(&mut self) -> u64 {
             self.seq += 1;
-            self.heap.push(Entry { key, event });
+            self.seq - 1
         }
 
-        /// A new version stamp for `station`, superseding its older ones.
+        fn insert(&mut self, key: Key, stamp: u64, event: QueueEvent) {
+            self.heap.push(Reverse((key, stamp, self.events.len())));
+            self.events.push(event);
+        }
+
+        fn push(&mut self, time_ms: f64, event: QueueEvent) {
+            let tick = time_to_tick(time_ms);
+            let seq = self.draw_seq();
+            self.insert(Key { tick, seq }, 0, event);
+        }
+
+        /// A new stamp for `station`, superseding its older events.
         fn stamp(&mut self, station: usize) -> u64 {
             self.stamps += 1;
             self.latest[station] = self.stamps;
             self.stamps
         }
 
+        /// Plans `station` like [`EventQueue::plan`]; returns the stamp,
+        /// which the departure carries as its version.
+        fn plan(
+            &mut self,
+            station: usize,
+            departure: Option<(f64, usize)>,
+            deadline: Option<(f64, u64)>,
+        ) -> u64 {
+            let stamp = self.stamp(station);
+            if let Some((t, job)) = departure {
+                let event = QueueEvent::JobDeparture {
+                    station,
+                    job,
+                    version: stamp,
+                };
+                let tick = time_to_tick(t);
+                let seq = self.draw_seq();
+                self.insert(Key { tick, seq }, stamp, event);
+            }
+            if let Some((t, seq)) = deadline {
+                let key = Key {
+                    tick: time_to_tick(t),
+                    seq,
+                };
+                self.insert(key, stamp, QueueEvent::JobTimeout { station });
+            }
+            stamp
+        }
+
         fn pop(&mut self) -> Option<(f64, QueueEvent)> {
-            while let Some(Entry { key, event }) = self.heap.pop() {
-                if let QueueEvent::JobDeparture {
-                    station, version, ..
-                } = event
+            while let Some(Reverse((key, stamp, i))) = self.heap.pop() {
+                let event = self.events[i];
+                if let QueueEvent::JobDeparture { station, .. }
+                | QueueEvent::JobTimeout { station } = event
                 {
-                    if version != self.latest[station] {
+                    if stamp != self.latest[station] {
                         continue;
                     }
                     self.stamp(station); // popped: nothing pending
@@ -451,16 +479,18 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Arrival(f64),
-        Timeout(f64),
         Retry(f64),
         Boundary(f64),
-        Departure(usize, f64),
-        Clear(usize),
+        /// Numbers a deadline at the given time for the station.
+        Deadline(usize, f64),
+        /// Plans the station with an optional departure time and an
+        /// optional index into its numbered deadlines.
+        Plan(usize, Option<f64>, Option<usize>),
         Pop,
     }
 
     #[test]
-    fn streams_pop_like_one_heap_that_skips_superseded_departures() {
+    fn streams_pop_like_one_heap_that_skips_superseded_station_events() {
         const STATIONS: usize = 5;
         let mut state = 0x5eed_u64;
         let mut next = move || {
@@ -469,8 +499,8 @@ mod tests {
         };
         for case in 0..400 {
             // A coarse time grid makes equal ticks common; a rising
-            // floor keeps most arrivals and timeouts in order, and the
-            // rest land below their FIFO's tail.
+            // floor keeps most arrivals in order, and the rest land
+            // below their FIFO's tail.
             let spread = 1 + next() % 8;
             let mut floor = 0u64;
             let mut ops = Vec::new();
@@ -479,6 +509,9 @@ mod tests {
                 latest: vec![0; STATIONS],
                 ..Reference::default()
             };
+            // Per station, the deadlines numbered so far; a plan may
+            // carry any of them, again and again.
+            let mut deadlines = vec![Vec::new(); STATIONS];
             for _ in 0..(next() % 120) {
                 if next() % 4 == 0 {
                     floor += next() % 3;
@@ -489,31 +522,27 @@ mod tests {
                 let station = (next() % STATIONS as u64) as usize;
                 let op = match next() % 10 {
                     0 | 1 => Op::Arrival(time),
-                    2 => Op::Timeout(time),
-                    3 => Op::Retry(time),
-                    4 => Op::Boundary(time),
-                    5 | 6 => Op::Departure(station, time),
-                    7 => Op::Clear(station),
+                    2 => Op::Retry(time),
+                    3 => Op::Boundary(time),
+                    4 => Op::Deadline(station, time),
+                    5..=7 => {
+                        let departure = (next() % 4 != 0).then_some(time);
+                        let n = deadlines[station].len() as u64;
+                        let deadline = (n > 0 && next() % 3 != 0).then(|| (next() % n) as usize);
+                        Op::Plan(station, departure, deadline)
+                    }
                     _ => Op::Pop,
                 };
                 ops.push(op);
                 let (got, want) = match op {
                     Op::Arrival(t) => {
-                        let job = id(ops.len() as u32);
+                        let job = ops.len();
                         q.push_arrival(t, job);
                         reference.push(t, QueueEvent::JobArrival { job });
                         continue;
                     }
-                    Op::Timeout(t) => {
-                        let job = id(ops.len() as u32);
-                        q.push_timeout(t, job);
-                        reference.push(t, QueueEvent::JobTimeout { job });
-                        continue;
-                    }
                     Op::Retry(t) => {
-                        let event = QueueEvent::JobArrival {
-                            job: id(ops.len() as u32),
-                        };
+                        let event = QueueEvent::JobArrival { job: ops.len() };
                         q.push(t, event);
                         reference.push(t, event);
                         continue;
@@ -524,21 +553,18 @@ mod tests {
                         reference.push(t, event);
                         continue;
                     }
-                    Op::Departure(station, t) => {
-                        let version = reference.stamp(station);
-                        let job = ops.len();
-                        q.set_departure(station, t, job, version);
-                        let event = QueueEvent::JobDeparture {
-                            station,
-                            job,
-                            version,
-                        };
-                        reference.push(t, event);
+                    Op::Deadline(station, t) => {
+                        let seq = q.draw_seq();
+                        assert_eq!(seq, reference.draw_seq(), "case {case}: one counter");
+                        deadlines[station].push((t, seq));
                         continue;
                     }
-                    Op::Clear(station) => {
-                        q.clear_departure(station);
-                        reference.stamp(station);
+                    Op::Plan(station, departure, deadline) => {
+                        let job = ops.len();
+                        let deadline = deadline.map(|i| deadlines[station][i]);
+                        let version =
+                            reference.plan(station, departure.map(|t| (t, job)), deadline);
+                        q.plan(station, departure.map(|t| (t, job, version)), deadline);
                         continue;
                     }
                     Op::Pop => (q.pop(), reference.pop()),

@@ -1,11 +1,10 @@
-//! Job records in recycled slots behind generation-checked handles.
+//! Job records in recycled slots.
 
 /// One request's journey through a station queue. Jobs live in the
 /// recycled slots of a [`JobSlab`] owned by [`QueueSim`](crate::QueueSim);
-/// events reference them by [`JobId`] (or, for departures, by slot
-/// index) so the heap stays `Copy`.
+/// events reference them by slot index so the heap stays `Copy`.
 #[derive(Debug, Clone, Copy)]
-pub struct Job {
+pub(crate) struct Job {
     /// Index of the request within its slot (attribution only).
     pub request: usize,
     /// Slot the request was issued in (1-based). Retries keep the
@@ -22,6 +21,10 @@ pub struct Job {
     /// Absolute deadline in ms; `f64::INFINITY` when the job has none.
     /// A job still resident at its deadline departs early as a miss.
     pub deadline_ms: f64,
+    /// Sequence number of the deadline event, drawn as the job joins
+    /// its station; it orders the deadline against events at the same
+    /// tick every time the station is re-planned.
+    pub deadline_seq: u64,
     /// 0 for the original submission, `k` for its `k`-th retry.
     pub attempt: u32,
     /// High-priority jobs shed last under admission control.
@@ -46,6 +49,7 @@ impl Job {
             service_ms,
             remaining_ms: service_ms,
             deadline_ms: f64::INFINITY,
+            deadline_seq: 0,
             attempt: 0,
             high_priority: false,
         }
@@ -57,65 +61,32 @@ impl Job {
     }
 }
 
-/// Generation-checked handle to a job slot. A slot is reused once its
-/// job leaves the system, and every release bumps the slot's
-/// generation, so a handle that outlives its job (a pending deadline
-/// timeout) is recognised as stale in O(1) instead of naming the
-/// slot's next occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobId {
-    /// Slot index in the simulator's job slab.
-    pub index: u32,
-    /// Slot generation when the handle was issued.
-    pub gen: u32,
-}
-
-impl JobId {
-    /// The slot index as a `usize`, for indexing the slab.
-    pub fn slot(self) -> usize {
-        self.index as usize
-    }
-}
-
 /// Job storage whose size tracks the live jobs (resident plus pending
 /// arrivals and retries), not every job ever submitted: released slots
-/// go on a LIFO free list and are refilled before the slab grows.
+/// go on a LIFO free list and are refilled before the slab grows. No
+/// event outlives its job, so a refilled slot needs no guard against
+/// events meant for its last occupant.
 #[derive(Debug, Default)]
 pub(crate) struct JobSlab {
     jobs: Vec<Job>,
-    gens: Vec<u32>,
-    free: Vec<u32>,
+    free: Vec<usize>,
 }
 
 impl JobSlab {
-    /// Stores `job` in the most recently freed slot, or a new one.
-    pub(crate) fn insert(&mut self, job: Job) -> JobId {
+    /// Stores `job` in the most recently freed slot, or a new one, and
+    /// returns the slot index.
+    pub(crate) fn insert(&mut self, job: Job) -> usize {
         if let Some(index) = self.free.pop() {
-            self.jobs[index as usize] = job;
-            return JobId {
-                index,
-                gen: self.gens[index as usize],
-            };
+            self.jobs[index] = job;
+            return index;
         }
-        let Ok(index) = u32::try_from(self.jobs.len()) else {
-            panic!("more than u32::MAX live jobs");
-        };
         self.jobs.push(job);
-        self.gens.push(0);
-        JobId { index, gen: 0 }
+        self.jobs.len() - 1
     }
 
-    /// Frees slot `index` for reuse and turns every handle to it stale.
-    /// The generation wraps after 2^32 reuses of one slot, far beyond
-    /// the lifetime of any pending timeout.
+    /// Frees slot `index` for reuse.
     pub(crate) fn release(&mut self, index: usize) {
-        self.gens[index] = self.gens[index].wrapping_add(1);
-        self.free.push(index as u32);
-    }
-
-    /// True while `id`'s job is still in the system.
-    pub(crate) fn is_live(&self, id: JobId) -> bool {
-        self.gens[id.slot()] == id.gen
+        self.free.push(index);
     }
 }
 
@@ -148,24 +119,11 @@ mod tests {
         let mut slab = JobSlab::default();
         let a = slab.insert(job(0));
         let b = slab.insert(job(1));
-        slab.release(a.slot());
-        slab.release(b.slot());
-        assert_eq!(slab.insert(job(2)).index, b.index);
-        assert_eq!(slab.insert(job(3)).index, a.index);
+        slab.release(a);
+        slab.release(b);
+        assert_eq!(slab.insert(job(2)), b);
+        assert_eq!(slab.insert(job(3)), a);
         assert_eq!(slab.len(), 2, "no growth while freed slots remain");
-        assert_eq!(slab[a.slot()].request, 3);
-    }
-
-    #[test]
-    fn release_turns_old_handles_stale() {
-        let mut slab = JobSlab::default();
-        let old = slab.insert(job(0));
-        assert!(slab.is_live(old));
-        slab.release(old.slot());
-        assert!(!slab.is_live(old), "freed slot");
-        let new = slab.insert(job(1));
-        assert_eq!(new.index, old.index);
-        assert!(slab.is_live(new));
-        assert!(!slab.is_live(old), "reused slot, older generation");
+        assert_eq!(slab[a].request, 3);
     }
 }

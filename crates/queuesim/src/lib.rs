@@ -8,24 +8,26 @@
 //! each other, and depart whenever they finish (possibly slots later).
 //! This crate supplies that missing layer:
 //!
-//! * an event queue of [`QueueEvent::JobArrival`] /
-//!   [`QueueEvent::JobDeparture`] / [`QueueEvent::JobTimeout`] /
-//!   [`QueueEvent::SlotBoundary`] events under a total `(tick, seq)`
-//!   order — time is keyed by the `f64` bit pattern (exact for the
-//!   non-negative finite domain), ties resolve by insertion sequence,
-//!   and not a single comparison goes through `partial_cmp`
-//!   (lexlint LX01). It holds only live events: arrivals and
-//!   timeouts in two time-ordered FIFOs, one pending departure per
-//!   station in a min-tree over stations, and retries and slot
-//!   boundaries in a small heap;
+//! * an event queue of job arrival, job departure, deadline timeout
+//!   and slot boundary events under a total `(tick, seq)` order — time
+//!   is keyed by the `f64` bit pattern (exact for the non-negative
+//!   finite domain), ties resolve by insertion sequence, and not a
+//!   single comparison goes through `partial_cmp` (lexlint LX01). It
+//!   holds only live events: first-attempt arrivals in a time-ordered
+//!   FIFO, one pending event per station in a min-tree over stations,
+//!   and retries and slot boundaries in a small heap;
 //! * per-station servers ([FIFO] or egalitarian [processor sharing])
 //!   whose effective rate is set each slot from the episode's fault
 //!   state, so brown-outs, outages and drain notices shrink live
 //!   capacity mid-episode;
-//! * jobs in recycled slots behind generation-checked [`JobId`]
-//!   handles: a slot is freed the moment its job leaves the system, so
-//!   memory tracks the backlog rather than the horizon, and a deadline
-//!   timeout that outlives its job is recognised as stale in O(1);
+//! * deadlines that live in their job. A station keeps its residents
+//!   in join order and every deadline is the join time plus one fixed
+//!   budget, so only the oldest resident can expire next: a station's
+//!   pending event is the earlier of its next departure and that
+//!   resident's deadline, and a timeout reaps the station's front;
+//! * jobs in recycled slots: a slot is freed the moment its job leaves
+//!   the system, so memory tracks the backlog rather than the horizon,
+//!   and no event outlives its job;
 //! * per-request *sojourn times* (departure − arrival) recorded into
 //!   the `lexcache-obs` log-scale histograms and summarized per slot
 //!   as nearest-rank p50/p90/p99.
@@ -49,8 +51,6 @@ mod sim;
 mod station;
 mod stats;
 
-pub use event::{time_to_tick, QueueEvent};
-pub use job::{Job, JobId};
 pub use resil::{ResilConfig, DEFAULT_RETRY_SALT};
 pub use sim::QueueSim;
 pub use stats::{nearest_rank_ms, SlotQueueStats};

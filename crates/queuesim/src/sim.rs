@@ -15,9 +15,10 @@
 //!
 //! Memory is O(backlog): a job's slot is released the moment the job
 //! leaves the system (completed, dropped, shed or reaped) and refilled
-//! by the next submission or retry. Pending deadline timeouts hold a
-//! generation-checked [`JobId`](crate::JobId), so one that fires after
-//! its job left never touches the slot's next occupant.
+//! by the next submission or retry. No event outlives its job: a
+//! deadline is planned only while its job is its station's oldest
+//! resident, and every change to a station re-plans its one pending
+//! event.
 
 use crate::event::{EventQueue, QueueEvent};
 use crate::job::{Job, JobSlab};
@@ -329,8 +330,7 @@ impl QueueSim {
         // only sane recovery.
         while let Some((t, ev)) = self.events.pop() {
             match ev {
-                QueueEvent::JobArrival { job: id } => {
-                    let job = id.slot();
+                QueueEvent::JobArrival { job } => {
                     let station = self.jobs[job].station;
                     if let Some(rt) = self.resil.as_mut() {
                         if !rt.breakers.is_empty() {
@@ -358,7 +358,7 @@ impl QueueSim {
                     if self.stations[station].try_enqueue(t, job, &mut self.jobs) {
                         self.in_flight += 1;
                         if self.jobs[job].has_deadline() {
-                            self.events.push_timeout(self.jobs[job].deadline_ms, id);
+                            self.jobs[job].deadline_seq = self.events.draw_seq();
                         }
                         self.schedule(station);
                     } else {
@@ -413,16 +413,8 @@ impl QueueSim {
                     self.done_scratch = done;
                     self.schedule(station);
                 }
-                QueueEvent::JobTimeout { job: id } => {
-                    if !self.jobs.is_live(id) {
-                        continue; // already departed: stale timeout
-                    }
-                    // A live handle with a pending timeout was enqueued
-                    // and has not left, so it is resident.
-                    let job = id.slot();
-                    let station = self.jobs[job].station;
-                    let resident = self.stations[station].remove(t, job, &mut self.jobs);
-                    assert!(resident, "a live timed job must be resident");
+                QueueEvent::JobTimeout { station } => {
+                    let job = self.stations[station].reap_oldest(t, &mut self.jobs);
                     self.in_flight -= 1;
                     stats.deadline_missed += 1;
                     self.deadline_missed_total += 1;
@@ -497,16 +489,21 @@ impl QueueSim {
         stats
     }
 
-    /// Re-plans `station`'s next departure under its current schedule
-    /// version, replacing the one scheduled under an older version, or
-    /// clearing it when the station is idle or frozen. Every version
-    /// bump is followed by this call before the next pop.
+    /// Re-plans `station`'s pending event: the earlier of its next
+    /// departure under its current schedule version (none when idle or
+    /// frozen) and its oldest resident's deadline. Every version bump
+    /// is followed by this call before the next pop.
     fn schedule(&mut self, station: usize) {
         let st = &self.stations[station];
-        match st.next_completion(&self.jobs) {
-            Some((t, job)) => self.events.set_departure(station, t, job, st.version()),
-            None => self.events.clear_departure(station),
-        }
+        let departure = st
+            .next_completion(&self.jobs)
+            .map(|(t, job)| (t, job, st.version()));
+        let deadline = st
+            .oldest()
+            .map(|j| &self.jobs[j])
+            .filter(|j| j.has_deadline())
+            .map(|j| (j.deadline_ms, j.deadline_seq));
+        self.events.plan(station, departure, deadline);
     }
 }
 

@@ -4,15 +4,16 @@
 //! `rate` (work-ms per elapsed ms). The simulator never steps time on
 //! a fixed grid: between events each station's state is advanced
 //! lazily by exactly the elapsed interval, and the next completion is
-//! *predicted* in closed form and scheduled as the station's one
-//! pending [`JobDeparture`] event. Any change that invalidates the
-//! prediction (an arrival joining a PS server, a capacity change at a
-//! slot boundary, a job leaving) bumps the station's `version`, and the
-//! simulator then replaces or clears the pending departure; the event
-//! carries the version it was scheduled under, which a popped
-//! departure must still match.
+//! *predicted* in closed form and planned as a [`JobDeparture`]
+//! event. Any change that invalidates the prediction (an arrival
+//! joining a PS server, a capacity change at a slot boundary, a job
+//! leaving) bumps the station's `version`, and the simulator then
+//! re-plans the station's one pending event; the event carries the
+//! version it was scheduled under, which a popped departure must still
+//! match. Residents are kept in join order, so the oldest one holds
+//! the station's earliest deadline and is the one a deadline reaps.
 //!
-//! [`JobDeparture`]: crate::QueueEvent::JobDeparture
+//! [`JobDeparture`]: crate::event::QueueEvent::JobDeparture
 
 use crate::job::Job;
 use crate::Discipline;
@@ -115,23 +116,21 @@ impl Station {
         true
     }
 
-    /// Evicts one resident job at `now_ms` (a deadline reap): drains
-    /// the elapsed interval first, then unlinks the job wherever it
-    /// sits in the queue and invalidates the schedule. Returns false —
-    /// leaving the station untouched — when the job is not resident.
-    /// Matching by slot index cannot tell a job from a later occupant
-    /// of its recycled slot, so callers screen stale [`JobTimeout`]s by
-    /// generation first.
-    ///
-    /// [`JobTimeout`]: crate::QueueEvent::JobTimeout
-    pub(crate) fn remove(&mut self, now_ms: f64, job: usize, arena: &mut [Job]) -> bool {
-        let Some(pos) = self.jobs.iter().position(|&idx| idx == job) else {
-            return false;
-        };
+    /// The resident that joined first, if any.
+    pub(crate) fn oldest(&self) -> Option<usize> {
+        self.jobs.front().copied()
+    }
+
+    /// Evicts the oldest resident at `now_ms` (a deadline reap): drains
+    /// the elapsed interval first, then unlinks the job and invalidates
+    /// the schedule. Returns the job's arena index.
+    pub(crate) fn reap_oldest(&mut self, now_ms: f64, arena: &mut [Job]) -> usize {
         self.advance(now_ms, arena);
-        self.jobs.remove(pos);
+        let Some(job) = self.jobs.pop_front() else {
+            panic!("a deadline reap needs a resident job");
+        };
         self.version += 1;
-        true
+        job
     }
 
     /// Removes every resident job whose work is exhausted, appending
@@ -251,25 +250,24 @@ mod tests {
     }
 
     #[test]
-    fn remove_unlinks_mid_queue_and_reports_absentees() {
+    fn a_reap_drains_first_then_passes_service_on() {
         let mut jobs = arena(&[10.0, 10.0, 10.0]);
         let mut st = Station::new(Discipline::Fifo, usize::MAX);
         st.set_rate(0.0, 1.0, &mut jobs);
         for j in 0..3 {
             st.try_enqueue(0.0, j, &mut jobs);
         }
+        assert_eq!(st.oldest(), Some(0));
         let v = st.version();
-        assert!(st.remove(5.0, 1, &mut jobs), "waiter 1 is resident");
+        assert_eq!(st.reap_oldest(5.0, &mut jobs), 0, "the head is reaped");
         assert!(st.version() > v, "a reap invalidates the schedule");
         assert_eq!(st.backlog(), 2);
         // The interval was drained at the head before unlinking.
         assert_eq!(jobs[0].remaining_ms, 5.0);
         assert_eq!(jobs[1].remaining_ms, 10.0, "the waiter got no service");
-        assert!(!st.remove(5.0, 1, &mut jobs), "already gone: stale reap");
-        // Removing the in-service head works too.
-        assert!(st.remove(5.0, 0, &mut jobs));
-        let (_, next) = st.next_completion(&jobs).unwrap();
-        assert_eq!(next, 2, "service passes to the surviving waiter");
+        assert_eq!(st.oldest(), Some(1));
+        let (t, next) = st.next_completion(&jobs).unwrap();
+        assert_eq!((t, next), (15.0, 1), "service passes to the next waiter");
     }
 
     #[test]
